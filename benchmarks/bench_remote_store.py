@@ -8,9 +8,10 @@ the batch pipeline's cache feed. This bench boots a 3-shard cluster
 (real TCP on loopback), replays an identical probe workload through
 the naive per-probe path and through batched ``probe_many`` at several
 chunk sizes, and records wall-clock, probes/s and the *measured*
-round-trip counts from the client's per-shard stats. A final point
-runs the whole batch pipeline against the cluster for an end-to-end
-tuples/s number.
+round-trip counts from the client's per-shard stats. A region
+precompute point records the round trips of the wave-prefetched probe
+plane against one trip per probe, and a final point runs the whole
+batch pipeline against the cluster for an end-to-end tuples/s number.
 
 Acceptance (asserted): at 3 shards, batched probing crosses the
 network at least 5x fewer times than naive probing, and is faster.
@@ -36,6 +37,8 @@ import pytest
 
 from repro import CerFix
 from repro.bench.harness import BenchResult, save_json, save_table, time_call
+from repro.core.certainty import CertaintyMode
+from repro.master.plane import ProbePlane
 from repro.master.remote import RemoteMasterStore
 from repro.master.shardserver import ShardCluster
 from repro.scenarios import uk_customers as uk
@@ -88,6 +91,11 @@ def table():
         f"and <= {MAX_REPLICATION_OVERHEAD:.0%} steady-state overhead "
         f"(best of 3); a killed replica costs <= 1 jittered retry-storm per "
         f"failed request before its circuit parks it, answers bit-identical"
+    )
+    result.note(
+        "region precompute (k=2): 'probes' counts the master probes its chases "
+        "issue, one round trip each for a per-probe client; 'round trips' are "
+        "the wave-prefetched probe plane's (relation fetch included); recorded only"
     )
     if not QUICK:
         result.note(
@@ -297,6 +305,48 @@ def test_remote_quick_anchor_rows(table, world):
             )
     finally:
         cluster.close()
+
+
+def test_remote_region_precompute(table, monkeypatch):
+    """Region precompute (k=2) over the cluster, on the ``entry``
+    benchmark's 10-row master: the wave-prefetched plane's round trips
+    against the one-trip-per-probe client it replaced. ``probes`` counts
+    the master probes the chases issue (an inline plane over an
+    in-process store, so no chase is re-run); each cost one round trip
+    before. Recorded only: ``probes/s`` is left out so no guard reads
+    the row."""
+    master = uk.generate_master(10, seed=1)
+    ruleset = uk.paper_ruleset()
+    probes = 0
+    match = ProbePlane.match
+
+    def counting_match(self, rule, values, **kwargs):
+        nonlocal probes
+        probes += 1
+        return match(self, rule, values, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ProbePlane, "match", counting_match)
+        expected = CerFix(ruleset, master, mode=CertaintyMode.ANCHORED).precompute_regions(k=2)
+
+    cluster = ShardCluster.in_process(ruleset, master, SHARDS)
+    try:
+        store = RemoteMasterStore(cluster.urls)
+        engine = CerFix(ruleset, store, mode=CertaintyMode.ANCHORED)
+        t_regions, regions = time_call(lambda: engine.precompute_regions(k=2), repeat=1)
+        trips = _round_trips(store)
+        store.close()
+    finally:
+        cluster.close()
+    assert regions == expected, "remote precompute changed the regions"
+    table.add(
+        "region precompute (k=2)",
+        probes,
+        trips,
+        f"{probes / trips:.0f}x (was {probes})",
+        f"{t_regions:.2f}",
+        "-",
+    )
 
 
 def test_remote_batch_pipeline_end_to_end(table, world):

@@ -28,8 +28,8 @@ from typing import Any, Mapping, Sequence
 
 from repro.core.rule import Constant, EditingRule
 from repro.master.manager import MasterDataManager, MasterMatch
+from repro.master.plane import ProbeKeyer
 from repro.master.store import MasterStore
-from repro.relational.index import HashIndex
 from repro.relational.relation import Relation
 
 
@@ -170,33 +170,7 @@ class CachingMasterDataManager(MasterDataManager):
         self.hits = 0
         self.misses = 0
         self._stats_lock = threading.Lock()
-        self._probes: dict[str, HashIndex] = {}  # rule_id -> key normaliser
-        #: (rule_id, raw lhs values) -> normalized cache key. Normalizing
-        #: a probe key is pure, and batch traffic re-probes the same few
-        #: raw keys constantly, so skip re-normalizing on repeats.
-        self._key_memo: dict[tuple, tuple] = {}
-
-    def _cache_key(self, rule: EditingRule, values: Mapping[str, Any]) -> tuple:
-        raw = tuple(values[a] for a in rule.lhs_attrs)
-        try:
-            key = self._key_memo.get((rule.rule_id, raw))
-        except TypeError:  # unhashable value in the probe key
-            key = None
-            memo_key = None
-        else:
-            memo_key = (rule.rule_id, raw)
-        if key is not None:
-            return key
-        probe = self._probes.get(rule.rule_id)
-        if probe is None:
-            probe = HashIndex(rule.m_attrs, rule.ops)
-            self._probes[rule.rule_id] = probe
-        key = (rule.rule_id, probe.key_of(raw))
-        if memo_key is not None:
-            if len(self._key_memo) >= 65536:
-                self._key_memo.clear()
-            self._key_memo[memo_key] = key
-        return key
+        self.keyer = ProbeKeyer()
 
     def match(
         self,
@@ -207,7 +181,7 @@ class CachingMasterDataManager(MasterDataManager):
     ) -> MasterMatch:
         if isinstance(rule.source, Constant):
             return super().match(rule, values, use_index=use_index)
-        key = self._cache_key(rule, values)
+        key = self.keyer.key(rule, values)
         cached = self.cache.get(key)
         if cached is not None:
             with self._stats_lock:

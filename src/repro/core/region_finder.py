@@ -18,7 +18,8 @@ pattern (rule ϕ9) resurfaces in the region tableau.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable, Mapping, Sequence
+from collections import deque
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import BudgetExceededError
 from repro.core.certainty import (
@@ -29,7 +30,6 @@ from repro.core.certainty import (
     fresh,
     value_partition,
 )
-from repro.core.chase import chase
 from repro.core.inference import mandatory_attributes, syntactically_certain
 from repro.core.pattern import (
     EMPTY_PATTERN,
@@ -43,6 +43,12 @@ from repro.core.pattern import (
 from repro.core.region import RankedRegion, Region
 from repro.core.ruleset import RuleSet
 from repro.master.manager import MasterDataManager
+from repro.master.plane import ProbePlane
+from repro.obs import trace
+from repro.obs.metrics import get_registry
+
+_WAVES = get_registry().counter("cerfix.precompute.waves")
+_KEYS_FETCHED = get_registry().counter("cerfix.precompute.keys_fetched")
 
 
 def harvest_safe_combos(
@@ -59,29 +65,38 @@ def harvest_safe_combos(
     Returns ``(safe, universe, total)`` where ``universe`` maps each
     attribute to the distinct candidate values that actually occurred in
     the enumeration (the domain over which tableau condensation reasons).
+    The chases run through a :class:`ProbePlane` (``master`` itself when
+    it is one), in waves over a networked store.
     """
     attrs = tuple(attrs)
-    schema = ruleset.input_schema
-    partition = value_partition(ruleset, master)
+    plane = master if isinstance(master, ProbePlane) else ProbePlane(master)
+    names = ruleset.input_schema.names
+    in_flight: deque[dict[str, Any]] = deque()  # combos awaiting their chase result
+    total = 0
+
+    def jobs() -> Iterator[tuple[dict[str, Any], tuple[str, ...]]]:
+        nonlocal total
+        for combo in candidate_combos(
+            attrs,
+            EMPTY_PATTERN,
+            ruleset,
+            plane,
+            mode=mode,
+            scenario=scenario,
+            partition=value_partition(ruleset, plane),
+            max_combos=max_combos,
+        ):
+            total += 1
+            in_flight.append(combo)
+            yield {n: combo.get(n, fresh(n)) for n in names}, attrs
+
     safe: list[dict[str, Any]] = []
     universe: dict[str, list[Any]] = {a: [] for a in attrs}
-    total = 0
-    for combo in candidate_combos(
-        attrs,
-        EMPTY_PATTERN,
-        ruleset,
-        master,
-        mode=mode,
-        scenario=scenario,
-        partition=partition,
-        max_combos=max_combos,
-    ):
-        total += 1
+    for result in plane.chase_all(jobs(), ruleset):
+        combo = in_flight.popleft()
         for a in attrs:
             if combo[a] not in universe[a]:
                 universe[a].append(combo[a])
-        values = {n: combo.get(n, fresh(n)) for n in schema.names}
-        result = chase(values, attrs, ruleset, master)
         if result.is_complete:
             safe.append(dict(combo))
     return safe, universe, total
@@ -212,9 +227,15 @@ def find_certain_regions(
     An attribute set certified *unconditionally* (wildcard tableau)
     suppresses all its strict supersets — they could only tie on a worse
     rank. ``generalize=False`` keeps only unconditional regions.
+
+    Every probe of the call goes through one :class:`ProbePlane`, so a
+    key is fetched at most once however many attribute sets need it.
+    One ``precompute.attrs`` span per certified attribute set records
+    its combos, safe combos, waves and keys fetched.
     """
     schema = ruleset.input_schema
     names = schema.names
+    plane = ProbePlane(master)
     mandatory = sorted(mandatory_attributes(ruleset, schema))
     optional = [a for a in names if a not in mandatory]
     limit = max_size if max_size is not None else len(names)
@@ -239,9 +260,15 @@ def find_certain_regions(
                 continue
             if not syntactically_certain(z, ruleset, schema):
                 continue
-            safe, universe, total = harvest_safe_combos(
-                z, ruleset, master, mode=mode, scenario=scenario, max_combos=max_combos
-            )
+            waves, fetched = plane.waves, plane.keys_fetched
+            with trace.span("precompute.attrs", attrs=",".join(z)) as span:
+                safe, universe, total = harvest_safe_combos(
+                    z, ruleset, plane, mode=mode, scenario=scenario, max_combos=max_combos
+                )
+                waves, fetched = plane.waves - waves, plane.keys_fetched - fetched
+                span.annotate(combos=total, safe=len(safe), waves=waves, keys_fetched=fetched)
+            _WAVES.inc(waves)
+            _KEYS_FETCHED.inc(fetched)
             if total == 0 or not safe:
                 continue
             if len(safe) == total:

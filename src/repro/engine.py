@@ -26,8 +26,10 @@ from repro.core.region import RankedRegion, Region
 from repro.core.region_finder import find_certain_regions
 from repro.core.ruleset import RuleSet
 from repro.master.manager import MasterDataManager
+from repro.master.plane import ProbePlane
 from repro.master.store import MasterStore, resolve_master
 from repro.monitor.session import MonitorSession
+from repro.obs import trace
 from repro.obs.metrics import get_registry
 from repro.monitor.stream import StreamProcessor, StreamReport
 from repro.monitor.suggest import SuggestionStrategy
@@ -125,25 +127,30 @@ class CerFix:
 
     def check_consistency(self, **kwargs) -> ConsistencyReport:
         """Static analysis: do the rules contradict each other w.r.t. the
-        master data? (Runs on rule import in the demo.)"""
-        return check_consistency(self.ruleset, self.master, **kwargs)
+        master data? (Runs on rule import in the demo.) Probes go through
+        a :class:`ProbePlane` made for this call."""
+        return check_consistency(self.ruleset, ProbePlane(self.master), **kwargs)
 
     # -- region finder ---------------------------------------------------------
 
     def precompute_regions(self, k: int = 5, **kwargs) -> tuple[RankedRegion, ...]:
         """Compute and cache the top-k certain regions (the demo's
-        initial suggestions)."""
+        initial suggestions). The finder makes its own
+        :class:`ProbePlane` for this call, which memoises and batches
+        probes over a networked store."""
         kwargs.setdefault("mode", self.mode)
         kwargs.setdefault("scenario", self.scenario)
-        self.regions = tuple(find_certain_regions(self.ruleset, self.master, k=k, **kwargs))
+        with trace.span("precompute", k=k):
+            self.regions = tuple(find_certain_regions(self.ruleset, self.master, k=k, **kwargs))
         return self.regions
 
     def certify_region(self, region: Region, **kwargs):
-        """Exact certainty check for a user-proposed region."""
+        """Exact certainty check for a user-proposed region, probing
+        through a :class:`ProbePlane` made for this call."""
         kwargs.setdefault("mode", self.mode)
         kwargs.setdefault("scenario", self.scenario)
         return is_certain_region(
-            region.attrs, region.tableau, self.ruleset, self.master, **kwargs
+            region.attrs, region.tableau, self.ruleset, ProbePlane(self.master), **kwargs
         )
 
     # -- data monitor ----------------------------------------------------------

@@ -27,11 +27,12 @@ from urllib.parse import parse_qs
 
 from repro.audit.stats import attribute_stats, overall_stats
 from repro.errors import CerFixError, MonitorError
+from repro.master.plane import ProbeKeyer
 from repro.monitor.session import MonitorSession
 from repro.obs import trace
 from repro.obs.metrics import get_registry
 from repro.obs.monitor import install_process_gauges
-from repro.service.batcher import CoalescingMasterDataManager, ProbeBatcher, ProbeKeyer
+from repro.service.batcher import CoalescingMasterDataManager, ProbeBatcher
 from repro.service.cache import LRUMemo, MemoView, SharedProbeCache
 from repro.service.limits import Admission, AdmissionController
 from repro.service.metrics import ServiceMetrics
@@ -329,7 +330,7 @@ class AsyncCerFixService:
             max_batch=max_batch,
             metrics=self.metrics,
         )
-        self.keyer = ProbeKeyer(engine.ruleset)
+        self.keyer = ProbeKeyer()
         self.manager = CoalescingMasterDataManager(
             engine.master.store, self.cache, self.batcher, self.keyer
         )

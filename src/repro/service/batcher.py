@@ -41,39 +41,13 @@ import asyncio
 from typing import Any, Mapping
 
 from repro.core.rule import Constant, EditingRule
-from repro.core.ruleset import RuleSet
 from repro.master.manager import MasterDataManager, MasterMatch
+from repro.master.plane import ProbeKeyer
 from repro.master.store import MasterStore
 from repro.obs import trace
-from repro.relational.index import HashIndex
 from repro.relational.relation import Relation
 from repro.service.cache import SharedProbeCache
 from repro.service.metrics import ServiceMetrics
-
-
-class ProbeKeyer:
-    """Normalised cache keys for a fixed rule set.
-
-    The key space matches :class:`~repro.batch.cache.CachingMasterDataManager`:
-    ``(rule id, key normalised with the rule's match operators)``, so
-    'EH8 4AH' and 'eh8 4ah' share one entry. All keyers are built once
-    up front — no lazy, racy per-thread construction.
-    """
-
-    def __init__(self, ruleset: RuleSet):
-        self._probes: dict[str, HashIndex] = {
-            rule.rule_id: HashIndex(rule.m_attrs, rule.ops)
-            for rule in ruleset
-            if not isinstance(rule.source, Constant)
-        }
-
-    def key(self, rule: EditingRule, values: Mapping[str, Any]) -> tuple:
-        probe = self._probes.get(rule.rule_id)
-        if probe is None:  # a rule outside the prebuilt set (defensive)
-            probe = HashIndex(rule.m_attrs, rule.ops)
-            self._probes[rule.rule_id] = probe
-        raw = tuple(values[a] for a in rule.lhs_attrs)
-        return (rule.rule_id, probe.key_of(raw))
 
 
 class ProbeBatcher:

@@ -174,7 +174,7 @@ def test_probe_coalescing_collapses_identical_keys():
     cache = SharedProbeCache(128)
     metrics = ServiceMetrics()
     batcher = ProbeBatcher(store, cache, window=0.02, max_batch=64, metrics=metrics)
-    keyer = ProbeKeyer(ruleset)
+    keyer = ProbeKeyer()
     manager = CoalescingMasterDataManager(store, cache, batcher, keyer)
 
     loop, _thread = _loop_in_thread()
