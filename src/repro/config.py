@@ -53,7 +53,7 @@ Every backend produces bit-identical fixes — the choice only affects
 scale and durability.
 
 The optional ``service`` section configures the async entry service
-(``cerfix serve --async`` — see :mod:`repro.service`); its keys mirror
+(``cerfix serve`` — see :mod:`repro.service`); its keys mirror
 :class:`~repro.service.app.AsyncCerFixService`'s constructor and only
 affect capacity and backpressure, never fixes.
 
@@ -194,7 +194,7 @@ class InstanceConfig:
     precompute_regions: int = 0
     #: Master store selection: {"backend": ..., "shards": ..., "path": ...}.
     store: dict[str, Any] = field(default_factory=dict)
-    #: Async entry service options (``cerfix serve --async``); keys mirror
+    #: Async entry service options (``cerfix serve``); keys mirror
     #: :class:`~repro.service.app.AsyncCerFixService` (see _SERVICE_KEYS).
     service: dict[str, Any] = field(default_factory=dict)
     #: DB-native dirty relation: {"db": ..., "table": ..., "page_rows": ...}.

@@ -31,6 +31,10 @@ routes to this shard (409 on a misroute): a client/server disagreement
 on shard count or routing must surface as a loud error, never as a
 silently incomplete match.
 
+The transport is the shared bounded asyncio server (:mod:`repro.net`):
+the same header/body limits, 400/413 answers to malformed requests,
+Prometheus mount and ``X-Cerfix-Trace`` join as the entry service.
+
 Run one server per shard::
 
     cerfix shard-server --instance ./inst --shard-id 0 --shards 3 --port 8401
@@ -42,18 +46,17 @@ real subprocess clusters.
 
 from __future__ import annotations
 
-import json
 import subprocess
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Sequence
 
 from repro.errors import MasterDataError
 from repro.core.ruleset import RuleSet
-from repro.obs import promfmt, trace
+from repro.net.server import HTTPServer
+from repro.obs import trace
 from repro.obs.metrics import get_registry
 from repro.obs.monitor import install_process_gauges
 from repro.master.store import (
@@ -99,8 +102,7 @@ class ShardServerApp:
         self.store = ShardedMasterStore(relation, shards=shards)
         self.digest = self.store.content_digest()
         # Warm this shard's lookup dicts up front: probing then never
-        # pays a first-request build, and concurrent handler threads
-        # only ever *read* the built structures.
+        # pays a first-request build.
         self.store.build_shard(ruleset, shard_id)
         self._rules = {r.rule_id: r for r in ruleset if not r.is_constant}
         self._lock = threading.Lock()
@@ -134,7 +136,7 @@ class ShardServerApp:
     def handle(self, method: str, path: str, body: Any) -> tuple[int, Any]:
         """Route one request.
 
-        Trace joining happens a layer up (the HTTP handler parses
+        Trace joining happens a layer up (the HTTP layer parses
         ``X-Cerfix-Trace`` and activates the client's context around
         this call) — ``handle`` keeps its three-argument shape so tests
         and embedders can wrap it without caring about telemetry."""
@@ -143,12 +145,6 @@ class ShardServerApp:
             return self._route(method, path, body)
         finally:
             self._req_seconds.observe(time.perf_counter() - start)
-
-    def metrics_prometheus(self) -> str:
-        """The registry as Prometheus text (``/metrics?format=prometheus``)."""
-        registry = get_registry()
-        registry.record_snapshot()
-        return promfmt.render(registry.dump())
 
     def _route(self, method: str, path: str, body: Any) -> tuple[int, Any]:
         path = path.partition("?")[0]
@@ -236,136 +232,17 @@ class ShardServerApp:
         return MasterMatch(positions=tuple(obj["positions"]), values=tuple(obj["values"]))
 
 
-class _Handler(BaseHTTPRequestHandler):
-    app: ShardServerApp  # bound per server via a subclass
-
-    #: HTTP/1.1: keep-alive by default, so the client's pooled
-    #: connections actually persist across probes (every response
-    #: carries an explicit Content-Length).
-    protocol_version = "HTTP/1.1"
-
-    #: Responses go out as two writes (header block, then body); with
-    #: Nagle on, the second write stalls on the client's delayed ACK —
-    #: ~40ms *per probe* on a sub-millisecond link.
-    disable_nagle_algorithm = True
-
-    def _respond(self, status: int, payload: Any) -> None:
-        data = json.dumps(payload, default=str).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _respond_text(self, status: int, text: str, content_type: str) -> None:
-        data = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _dispatch(self, method: str) -> None:
-        path, _, query = self.path.partition("?")
-        if method == "GET" and path == "/metrics" and "format=prometheus" in query:
-            try:
-                self._respond_text(
-                    200, self.app.metrics_prometheus(), promfmt.CONTENT_TYPE
-                )
-            except Exception as exc:
-                self._respond(500, {"error": f"{type(exc).__name__}: {exc}"})
-            return
-        body = None
-        length = int(self.headers.get("Content-Length") or 0)
-        if length:
-            try:
-                body = json.loads(self.rfile.read(length))
-            except json.JSONDecodeError:
-                self._respond(400, {"error": "request body is not valid JSON"})
-                return
-        try:
-            carrier = trace.parse_header(self.headers.get(trace.HEADER))
-            if carrier is None:
-                status, payload = self.app.handle(method, self.path, body)
-            else:
-                # Join the client's trace: a clean run over a spawned
-                # cluster exports one connected tree across processes.
-                with trace.activate(carrier):
-                    with trace.span(
-                        "shard-server", shard=self.app.shard_id, path=self.path
-                    ):
-                        status, payload = self.app.handle(method, self.path, body)
-        except Exception as exc:  # a handler bug must not kill the thread
-            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-        self._respond(status, payload)
-
-    def do_GET(self):  # noqa: N802 (http.server API)
-        self._dispatch("GET")
-
-    def do_POST(self):  # noqa: N802
-        self._dispatch("POST")
-
-    def log_message(self, fmt, *args):  # silence request logging
-        pass
-
-
-class _TrackingHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server that can sever its live connections.
-
-    Keep-alive handler threads block reading the next request; plain
-    ``server_close`` only closes the *listening* socket, which would
-    leave a "stopped" server still answering pooled clients. Tracking
-    the accepted sockets lets :meth:`close_connections` shut them down
-    for real — what makes an in-process restart look like a process
-    kill to the client (connection reset, then retry)."""
-
-    daemon_threads = True
-
-    def __init__(self, *args, **kwargs):
-        self._conns: set = set()
-        self._conns_lock = threading.Lock()
-        super().__init__(*args, **kwargs)
-
-    def get_request(self):
-        request, client_address = super().get_request()
-        with self._conns_lock:
-            self._conns.add(request)
-        return request, client_address
-
-    def shutdown_request(self, request):
-        with self._conns_lock:
-            self._conns.discard(request)
-        super().shutdown_request(request)
-
-    def close_connections(self) -> None:
-        import socket as _socket
-
-        with self._conns_lock:
-            conns = list(self._conns)
-        for conn in conns:
-            try:
-                conn.shutdown(_socket.SHUT_RDWR)
-            except OSError:
-                pass
-
-    def handle_error(self, request, client_address):
-        # A client dropping its pooled keep-alive socket (close, restart,
-        # retry-after-reset) is normal operation, not a server error.
-        import sys
-
-        exc = sys.exc_info()[1]
-        if isinstance(exc, (ConnectionError, TimeoutError)):
-            return
-        super().handle_error(request, client_address)
-
-
-class ShardServer:
-    """One running shard server (threaded HTTP over a bound socket).
+class ShardServer(HTTPServer):
+    """One running shard server: :class:`ShardServerApp` on the shared
+    bounded asyncio HTTP layer (:mod:`repro.net`), handled inline on
+    the server's event loop.
 
     In-process flavour: tests and benchmarks boot clusters of these on
     ephemeral ports without paying interpreter startup; the CLI's
     ``cerfix shard-server`` runs exactly this class in the foreground.
-    Use as a context manager, or pair :meth:`start` with :meth:`close`.
+    Use as a context manager, or pair :meth:`start` with :meth:`close`;
+    ``close`` severs pooled keep-alive connections, so an in-process
+    restart looks like a process kill to the client.
     """
 
     def __init__(
@@ -374,48 +251,18 @@ class ShardServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ):
+        super().__init__(self._handle, host, port, thread_name=f"cerfix-shard-{app.shard_id}")
         self.app = app
-        handler = type("BoundShardHandler", (_Handler,), {"app": app})
-        self.httpd = _TrackingHTTPServer((host, port), handler)
-        self.host = host
-        self.port = self.httpd.server_address[1]
-        self._thread: threading.Thread | None = None
 
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "ShardServer":
-        self._thread = threading.Thread(
-            target=self.httpd.serve_forever,
-            daemon=True,
-            name=f"cerfix-shard-{self.app.shard_id}",
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Foreground serving (the CLI path); Ctrl-C returns."""
-        try:
-            self.httpd.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.httpd.server_close()
-
-    def close(self) -> None:
-        self.httpd.shutdown()
-        self.httpd.close_connections()
-        self.httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-    def __enter__(self) -> "ShardServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def _handle(self, method: str, path: str, body: Any) -> tuple[int, Any, dict]:
+        if trace.carrier() is None:
+            status, payload = self.app.handle(method, path, body)
+        else:
+            # Joined to a client's trace: a clean run over a spawned
+            # cluster exports one connected tree across processes.
+            with trace.span("shard-server", shard=self.app.shard_id, path=path):
+                status, payload = self.app.handle(method, path, body)
+        return status, payload, {}
 
 
 # -- cluster lifecycle --------------------------------------------------------

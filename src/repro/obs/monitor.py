@@ -8,7 +8,7 @@ module is the fleet-wide view:
 * :func:`install_process_gauges` registers per-process self-gauges
   (``cerfix.proc.rss_bytes``, ``open_fds``, ``threads``,
   ``uptime_seconds``) on the process-wide registry — called by shard
-  servers, both explorers and the async service at startup, so every
+  servers and the async entry service at startup, so every
   scrape answers who is eating memory and leaking descriptors.
 * :class:`ClusterMonitor` polls every shard replica's ``/metrics`` +
   ``/healthz`` and (optionally) the entry service, merging the dumps

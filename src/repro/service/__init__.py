@@ -1,14 +1,12 @@
 """The async point-of-entry service (paper §1, "point of data entry").
 
 CerFix's headline scenario is a monitor that fixes tuples *as users
-enter them*. The :mod:`repro.explorer.web` server handles that one
-interactive session at a time; this package is the concurrent path — an
-asyncio-native entry service that multiplexes many monitor sessions
-over one engine:
+enter them*. This package is the explorer's JSON API (``cerfix serve``)
+as an asyncio-native entry service that multiplexes many monitor
+sessions over one engine:
 
 :mod:`repro.service.app`
-    the shared :class:`RoutingCore` (one routing table for the sync web
-    explorer *and* the async service) and the
+    the :class:`RoutingCore` routing table and the
     :class:`AsyncCerFixService` orchestrator;
 :mod:`repro.service.batcher`
     the probe micro-batcher — concurrent cache misses against the
@@ -21,7 +19,8 @@ over one engine:
 :mod:`repro.service.metrics`
     race-free counters and latency percentiles for ``/api/metrics``;
 :mod:`repro.service.http`
-    the asyncio HTTP server (stdlib only);
+    :class:`AsyncCerFixServer`, the service on the shared bounded
+    asyncio HTTP layer (:mod:`repro.net`);
 :mod:`repro.service.loadgen`
     the async load generator used by the benchmarks and the CI smoke
     leg.

@@ -1,10 +1,8 @@
 """The routing core and the async entry service.
 
-:class:`RoutingCore` is the single routing table of the HTTP surface:
-the synchronous web explorer (:mod:`repro.explorer.web`) calls it under
-one global lock, and :class:`AsyncCerFixService` calls it from executor
-threads under per-session asyncio locks — same routes, same payloads,
-one implementation.
+:class:`RoutingCore` is the single routing table of the entry surface's
+JSON API. :class:`AsyncCerFixService` calls it either inline on the
+event loop or from executor threads, under per-session asyncio locks.
 
 :class:`AsyncCerFixService` is the concurrent orchestrator: it owns the
 shared probe cache, the probe micro-batcher, the suggestion memo, the
@@ -12,7 +10,8 @@ admission controller and the metrics, multiplexes many concurrent
 monitor sessions over one engine, and serialises exactly what must be
 serialised — operations *within* one session (per-session asyncio
 lock) and engine-mutating routes (one engine lock). Everything else
-runs concurrently on a thread-pool executor.
+runs concurrently on a thread-pool executor. The HTTP transport around
+it is :class:`repro.service.http.AsyncCerFixServer`.
 """
 
 from __future__ import annotations
@@ -80,9 +79,9 @@ def classify_route(method: str, parts: list[str]) -> tuple[str, str | None]:
 
 class RoutingCore:
     """Routes HTTP verbs+paths onto one engine. Not itself thread-safe:
-    the sync web app serialises calls with one lock; the async service
-    guarantees that a session is only touched under its session lock
-    and engine-level routes only under the engine lock."""
+    the async service guarantees that a session is only touched under
+    its session lock and engine-level routes only under the engine
+    lock."""
 
     def __init__(
         self,
@@ -135,8 +134,7 @@ class RoutingCore:
         if parts == ["api", "metrics"] and method == "GET":
             if self._metrics_json is None:
                 return 404, {
-                    "error": "metrics are collected by the async entry service; "
-                    "run `cerfix serve --async`"
+                    "error": "metrics are collected by the entry service; run `cerfix serve`"
                 }
             return 200, self._metrics_json()
         if parts == ["api", "rules"] and method == "GET":
@@ -424,40 +422,29 @@ class AsyncCerFixService:
     # -- request handling ----------------------------------------------------
 
     async def handle(
-        self,
-        method: str,
-        path: str,
-        body: dict | None,
-        headers: Mapping[str, str] | None = None,
+        self, method: str, path: str, body: dict | None
     ) -> tuple[int, dict | list, dict[str, str]]:
         """One request: admission → lock → route (executor) → account.
 
-        ``headers`` (lower-cased names, as the HTTP front end parses
-        them) may carry an ``X-Cerfix-Trace`` parent, in which case the
-        request span joins the caller's trace. Returns ``(status,
-        payload, extra headers)`` — the headers carry ``Retry-After``
-        on 429s.
+        Returns ``(status, payload, extra headers)`` — the headers carry
+        ``Retry-After`` on 429s. The HTTP front end has already joined
+        the caller's ``X-Cerfix-Trace`` context, so the request span
+        parents under it; a route exception propagates to the front
+        end's 500 guard after being counted as a 500 here.
         """
         parts = [p for p in path.partition("?")[0].split("/") if p]
         route_class, session_id = classify_route(method, parts)
-        carrier = trace.parse_header((headers or {}).get(trace.HEADER.lower()))
-        with trace.activate(carrier):
-            with trace.span("request", method=method, route=route_class):
-                self.metrics.request_started()
-                start = time.perf_counter()
-                status: int = 500
-                try:
-                    status, payload, extra = await self._process(
-                        method, path, body, parts, route_class, session_id
-                    )
-                    return status, payload, extra
-                except Exception as exc:  # never let a route error kill the server
-                    status = 500
-                    return 500, {"error": f"internal error: {exc}"}, {}
-                finally:
-                    self.metrics.request_finished(
-                        route_class, status, time.perf_counter() - start
-                    )
+        with trace.span("request", method=method, route=route_class):
+            self.metrics.request_started()
+            start = time.perf_counter()
+            status: int = 500
+            try:
+                status, payload, extra = await self._process(
+                    method, path, body, parts, route_class, session_id
+                )
+                return status, payload, extra
+            finally:
+                self.metrics.request_finished(route_class, status, time.perf_counter() - start)
 
     async def _process(
         self,

@@ -10,7 +10,6 @@ import pytest
 from repro import CerFix
 from repro.bench.harness import BenchResult, save_json
 from repro.explorer.cli import main as cli_main
-from repro.explorer.web import serve
 from repro.relational.csvio import read_csv, write_csv
 from repro.scenarios import uk_customers as uk
 
@@ -171,7 +170,7 @@ def test_web_api_clean(workload):
     expected = CerFix(uk.paper_ruleset(), master).clean_relation(wl.dirty, wl.clean)
     rows = [r.to_dict() for r in wl.dirty.rows()]
     truth = [r.to_dict() for r in wl.clean.rows()]
-    with serve(engine, port=0) as server:
+    with engine.serve_async(port=0) as server:
         status, payload = _post(
             f"{server.url}/api/clean", {"rows": rows, "truth": truth, "workers": 2}
         )
@@ -185,7 +184,7 @@ def test_web_api_clean(workload):
 def test_web_api_clean_rejects_bad_body(workload):
     master, _ = workload
     engine = CerFix(uk.paper_ruleset(), master)
-    with serve(engine, port=0) as server:
+    with engine.serve_async(port=0) as server:
         req = urllib.request.Request(
             f"{server.url}/api/clean",
             data=json.dumps({"rows": []}).encode("utf-8"),

@@ -30,11 +30,10 @@ from repro import CerFix
 from repro.config import InstanceConfig
 from repro.errors import ValidationError
 from repro.explorer.cli import build_parser
-from repro.explorer.web import CerFixWebApp
 from repro.master.store import SingleRelationStore
 from repro.relational.relation import Relation
 from repro.scenarios import uk_customers as uk
-from repro.service.app import classify_route
+from repro.service.app import RoutingCore, classify_route
 from repro.service.batcher import CoalescingMasterDataManager, ProbeBatcher, ProbeKeyer
 from repro.service.cache import LRUMemo, MemoView, SharedProbeCache
 from repro.service.limits import AdmissionController
@@ -335,41 +334,38 @@ def test_metrics_endpoint_schema(server, uk_workload):
     assert metrics["limits"]["max_sessions"] == 256
 
 
-def test_sync_webapp_shares_routing_table(uk_workload):
-    """The sync explorer and the async service answer identically from
-    the one RoutingCore, including the /api/metrics schema."""
-    master, _ = uk_workload
-    engine = CerFix(uk.paper_ruleset(), master)
-    app = CerFixWebApp(engine)
-    status, rules = app.handle("GET", "/api/rules", None)
+def test_service_shares_routing_table(server):
+    """The async service answers from the one RoutingCore: engine
+    routes and session routes flow through the same table."""
+    engine = server.service.engine
+    status, rules, _ = _request(f"{server.url}/api/rules")
     assert status == 200 and len(rules) == len(engine.ruleset)
-    # session routes flow through the same table
     values = {k: str(v) for k, v in uk.fig3_tuple().items()}
-    status, state = app.handle("POST", "/api/sessions", {"tuple_id": "x", "values": values})
-    assert status == 201 and app.sessions["x"].tuple_id == "x"
-    status, payload = app.handle("DELETE", "/api/sessions/x", None)
-    assert status == 200 and "x" not in app.sessions
+    status, state, _ = _request(
+        f"{server.url}/api/sessions", "POST", {"tuple_id": "x", "values": values}
+    )
+    assert status == 201 and server.service.core.sessions["x"].tuple_id == "x"
+    status, payload, _ = _request(f"{server.url}/api/sessions/x", "DELETE")
+    assert status == 200 and "x" not in server.service.core.sessions
 
 
-def test_sync_webapp_metrics_schema(uk_workload):
-    """The serial explorer serves /api/metrics with the async schema:
-    request/session counters and latency windows are live; the shared
-    probe-cache / suggestion-memo / admission sections report empty."""
-    master, _ = uk_workload
-    engine = CerFix(uk.paper_ruleset(), master)
-    app = CerFixWebApp(engine)
+def test_service_metrics_schema(server):
+    """/api/metrics after one opened-then-dropped session: request and
+    session counters and latency windows are live, and every section a
+    dashboard reads is present."""
     values = {k: str(v) for k, v in uk.fig3_tuple().items()}
-    status, _ = app.handle("POST", "/api/sessions", {"tuple_id": "m", "values": values})
+    status, _, _ = _request(
+        f"{server.url}/api/sessions", "POST", {"tuple_id": "m", "values": values}
+    )
     assert status == 201
-    status, _ = app.handle("DELETE", "/api/sessions/m", None)
+    status, _, _ = _request(f"{server.url}/api/sessions/m", "DELETE")
     assert status == 200
-    status, metrics = app.handle("GET", "/api/metrics", None)
+    status, metrics, _ = _request(f"{server.url}/api/metrics")
     assert status == 200
     assert set(metrics) >= {
         "requests", "sessions", "probes", "latency_ms",
         "probe_cache", "suggestion_memo", "limits", "dispatch",
     }
-    assert metrics["dispatch"] == "serial"
     assert metrics["requests"]["total"] == 3  # open, delete, metrics
     assert metrics["sessions"]["opened"] == 1
     # dropping an unfinished session counts as an eviction
@@ -384,7 +380,7 @@ def test_sync_webapp_metrics_schema(uk_workload):
             "count", "p50_ms", "p95_ms", "p99_ms", "mean_ms",
         }
     assert metrics["latency_ms"]["open"]["count"] == 1
-    assert metrics["limits"]["max_sessions"] is None
+    assert metrics["limits"]["max_sessions"] == 256
 
 
 # ---------------------------------------------------------------------------
@@ -522,18 +518,18 @@ def test_latency_window_percentiles():
 
 
 def test_default_session_ids_survive_deletes(uk_workload):
-    """The sync explorer's auto ids must not collide after DELETE
-    shrinks the sessions dict (len()-based ids would repeat forever)."""
+    """RoutingCore's auto ids must not collide after DELETE shrinks the
+    sessions dict (len()-based ids would repeat forever)."""
     master, _ = uk_workload
-    app = CerFixWebApp(CerFix(uk.paper_ruleset(), master))
+    core = RoutingCore(CerFix(uk.paper_ruleset(), master))
     values = {k: str(v) for k, v in uk.fig3_tuple().items()}
     open_body = {"values": values}
-    assert app.handle("POST", "/api/sessions", open_body)[1]["tuple_id"] == "web0"
-    assert app.handle("POST", "/api/sessions", open_body)[1]["tuple_id"] == "web1"
-    assert app.handle("DELETE", "/api/sessions/web0", None)[0] == 200
-    status, state = app.handle("POST", "/api/sessions", open_body)
+    assert core.handle("POST", "/api/sessions", open_body)[1]["tuple_id"] == "web0"
+    assert core.handle("POST", "/api/sessions", open_body)[1]["tuple_id"] == "web1"
+    assert core.handle("DELETE", "/api/sessions/web0", None)[0] == 200
+    status, state = core.handle("POST", "/api/sessions", open_body)
     assert status == 201 and state["tuple_id"] == "web2"
-    assert set(app.sessions) == {"web1", "web2"}
+    assert set(core.sessions) == {"web1", "web2"}
 
 
 def test_completed_sessions_are_retained_boundedly(uk_workload):

@@ -407,9 +407,9 @@ def test_engine_store_selection_and_instance_surface(tmp_path):
         uk.paper_ruleset(), uk.paper_master(), store="sharded", store_shards=2
     )
     assert engine.master.store.backend == "sharded"
-    from repro.explorer.web import CerFixWebApp
+    from repro.service.app import RoutingCore
 
-    status, payload = CerFixWebApp(engine).handle("GET", "/api/instance", None)
+    status, payload = RoutingCore(engine).handle("GET", "/api/instance", None)
     assert status == 200
     assert payload["store"]["backend"] == "sharded"
     assert payload["store"]["shards"] == 2
