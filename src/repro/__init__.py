@@ -65,10 +65,10 @@ from repro.batch import (
     BatchCleaner,
     BatchReport,
     BatchResult,
-    CacheStats,
     CheckpointJournal,
     ProbeCache,
 )
+from repro.cache import CacheStats, LRUCache
 from repro.service import (
     AsyncCerFixServer,
     AsyncCerFixService,
@@ -154,6 +154,7 @@ __all__ = [
     "BatchResult",
     "CacheStats",
     "CheckpointJournal",
+    "LRUCache",
     "ProbeCache",
     "AuditLog",
     "attribute_stats",

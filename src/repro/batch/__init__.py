@@ -6,7 +6,8 @@ scales the same certain-fix machinery to whole relations:
 
 - :mod:`~repro.batch.planner` — fingerprint tuples, collapse duplicate
   repair signatures, deal groups into shards;
-- :mod:`~repro.batch.cache` — a bounded LRU over master-data probes;
+- :mod:`~repro.batch.cache` — the batch names of the probe cache and
+  cached manager, and probe-cache persistence across runs;
 - :mod:`~repro.batch.executor` — serial / thread / process shard
   execution with bit-identical output;
 - :mod:`~repro.batch.journal` — per-shard checkpoints for crash-safe
@@ -16,12 +17,16 @@ scales the same certain-fix machinery to whole relations:
   :meth:`CerFix.clean_relation`.
 """
 
-from repro.batch.cache import CacheStats, CachingMasterDataManager, ProbeCache
+# The executor loads repro.core before repro.master (the master manager
+# imports core, whose chase imports the manager back); the cache module
+# reaches repro.master directly, so it must come second.
 from repro.batch.executor import BatchContext, GroupOutcome, ShardExecutor, ShardResult
+from repro.batch.cache import CachingMasterDataManager, ProbeCache
 from repro.batch.journal import CheckpointJournal
 from repro.batch.pipeline import BatchCleaner, BatchResult
 from repro.batch.planner import PlanGroup, RepairPlan, Shard, build_plan, repair_signature
 from repro.batch.report import BatchReport, ShardStats, build_report
+from repro.cache import CacheStats
 
 __all__ = [
     "BatchCleaner",

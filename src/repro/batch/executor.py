@@ -6,21 +6,26 @@ result of a group depends only on the group and the engine
 configuration, never on scheduling. That is what makes the parallel
 backends *bit-identical* to the serial path.
 
+A run holds three :class:`~repro.cache.LRUCache` instances (probe
+cache, suggestion memo, chase-transcript memo); each shard probes
+through its own :class:`~repro.master.plane.CachedMasterDataManager`.
+
 Backends:
 
 ``workers=1``
     The deterministic serial path: shards run in shard-id order on the
-    calling thread, sharing one probe cache.
+    calling thread, sharing the run's caches.
 ``backend="thread"``
     A :class:`~concurrent.futures.ThreadPoolExecutor`; all shards share
-    one probe cache (cross-shard hits) and the already-built master
+    the run's caches (cross-shard hits) and the already-built master
     indexes. Best when probing dominates (index lookups release no
     meaningful GIL work, but cache sharing is maximal).
 ``backend="process"``
     A :class:`~concurrent.futures.ProcessPoolExecutor`; the context is
     shipped to each worker once via the pool initializer and every
-    process keeps its own probe cache. Best on multi-core hosts where
-    the chase itself is the bottleneck.
+    process keeps its own caches, whose counts come back on each
+    :class:`ShardResult`. Best on multi-core hosts where the chase
+    itself is the bottleneck.
 """
 
 from __future__ import annotations
@@ -32,17 +37,17 @@ from typing import Any, Callable, Sequence
 
 from repro.errors import CerFixError
 from repro.audit.log import AuditLog
-from repro.batch.cache import CachingMasterDataManager, ProbeCache
 from repro.batch.planner import PlanGroup, Shard
+from repro.cache import LRUCache
 from repro.core.certainty import CertaintyMode, Scenario
 from repro.core.region import RankedRegion
 from repro.core.ruleset import RuleSet
 from repro.master.manager import MasterDataManager
+from repro.master.plane import CachedMasterDataManager
 from repro.monitor.session import MonitorSession
 from repro.monitor.suggest import SuggestionStrategy
 from repro.monitor.user import OracleUser
 from repro.obs import trace
-from repro.service.cache import LRUMemo
 
 BACKENDS = ("thread", "process")
 
@@ -132,15 +137,21 @@ class GroupOutcome:
 
 @dataclass
 class ShardResult:
-    """What one shard produced, with exact per-shard cache counters."""
+    """What one shard produced, with exact per-shard cache counters.
+
+    Eviction and suggestion-memo counts are the change in the shared
+    cache while this shard ran: exact when shards on one cache run one
+    at a time (the serial path, and inside each process worker).
+    """
 
     shard_id: int
     outcomes: tuple[GroupOutcome, ...]
     elapsed_seconds: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
-    cache_evictions: int = 0  # evictions while this shard ran (exact when
-    # shards on one cache run serially — i.e. the serial and process paths)
+    cache_evictions: int = 0
+    memo_hits: int = 0
+    memo_misses: int = 0
     resumed: bool = False
 
     @property
@@ -158,6 +169,8 @@ class ShardResult:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_evictions": self.cache_evictions,
+            "memo_hits": self.memo_hits,
+            "memo_misses": self.memo_misses,
             "outcomes": [o.to_json() for o in self.outcomes],
         }
 
@@ -170,6 +183,8 @@ class ShardResult:
             cache_hits=obj["cache_hits"],
             cache_misses=obj["cache_misses"],
             cache_evictions=obj.get("cache_evictions", 0),
+            memo_hits=obj.get("memo_hits", 0),
+            memo_misses=obj.get("memo_misses", 0),
             resumed=resumed,
         )
 
@@ -243,8 +258,8 @@ def _resolve_group(
     group: PlanGroup,
     ctx: BatchContext,
     manager: MasterDataManager,
-    memo: LRUMemo | None = None,
-    chase_memo: LRUMemo | None = None,
+    memo: LRUCache,
+    chase_memo: LRUCache,
 ) -> GroupOutcome:
     """Clean one group's representative tuple.
 
@@ -264,8 +279,8 @@ def _resolve_group_inner(
     group: PlanGroup,
     ctx: BatchContext,
     manager: MasterDataManager,
-    memo: LRUMemo | None,
-    chase_memo: LRUMemo | None,
+    memo: LRUCache,
+    chase_memo: LRUCache,
     audit: _TranscriptRecorder,
 ) -> GroupOutcome:
     session = MonitorSession(
@@ -313,13 +328,13 @@ def _run_shard(
     shard: Shard,
     ctx: BatchContext,
     base: MasterDataManager,
-    cache: ProbeCache,
-    memo: LRUMemo | None = None,
-    chase_memo: LRUMemo | None = None,
+    cache: LRUCache,
+    memo: LRUCache,
+    chase_memo: LRUCache,
 ) -> ShardResult:
-    """Resolve every group of one shard behind a caching manager.
+    """Resolve every group of one shard behind a cached manager.
 
-    The caching manager wraps the base manager's *store*, so whatever
+    The cached manager wraps the base manager's *store*, so whatever
     backend the run configured (single, sharded, sqlite) answers the
     cache misses — and its probe structures are shared across shards.
     ``memo`` is the run's shared suggestion memo: a suggestion is a
@@ -328,8 +343,9 @@ def _run_shard(
     sharing it across shards reorders when inference work happens but
     never what any group observes (the bit-identity guarantee holds).
     """
-    manager = CachingMasterDataManager(base.store, cache)
-    evictions_before = cache.evictions
+    manager = CachedMasterDataManager(base.store, cache)
+    evictions_before = cache.stats.evictions
+    memo_before = memo.stats
     start = time.perf_counter()
     # Pool threads (and process workers) have no ambient span; the
     # carrier in the context re-parents this shard under the clean-run.
@@ -338,13 +354,16 @@ def _run_shard(
             outcomes = tuple(
                 _resolve_group(g, ctx, manager, memo, chase_memo) for g in shard.groups
             )
+    memo_after = memo.stats
     return ShardResult(
         shard_id=shard.shard_id,
         outcomes=outcomes,
         elapsed_seconds=time.perf_counter() - start,
         cache_hits=manager.hits,
         cache_misses=manager.misses,
-        cache_evictions=cache.evictions - evictions_before,
+        cache_evictions=cache.stats.evictions - evictions_before,
+        memo_hits=memo_after.hits - memo_before.hits,
+        memo_misses=memo_after.misses - memo_before.misses,
     )
 
 
@@ -353,21 +372,18 @@ def _run_shard(
 # and parked in a module global; shard tasks then only carry the shard.
 
 _PROCESS_CTX: BatchContext | None = None
-_PROCESS_CACHE: ProbeCache | None = None
-_PROCESS_MEMO: LRUMemo | None = None
-_PROCESS_CHASE_MEMO: LRUMemo | None = None
+#: The worker's probe cache, suggestion memo and chase-transcript memo.
+_PROCESS_CACHES: tuple[LRUCache, ...] = ()
 
 
 def _init_process(ctx: BatchContext) -> None:
-    global _PROCESS_CTX, _PROCESS_CACHE, _PROCESS_MEMO, _PROCESS_CHASE_MEMO
+    global _PROCESS_CTX, _PROCESS_CACHES
     _PROCESS_CTX = ctx
     # A spawned worker starts with tracing unconfigured; the carrier
     # ships the exporter config so worker spans reach the same file.
     if ctx.trace is not None and ctx.trace.path:
         trace.configure(ctx.trace.path, ctx.trace.sample)
-    _PROCESS_CACHE = ProbeCache(ctx.cache_size)
-    _PROCESS_MEMO = LRUMemo(max(ctx.cache_size, 1))
-    _PROCESS_CHASE_MEMO = LRUMemo(max(ctx.cache_size, 1))
+    _PROCESS_CACHES = tuple(LRUCache(ctx.cache_size) for _ in range(3))
     # Store-specific warm-up: the single store rebuilds its (pickle-
     # stripped) indexes eagerly; the sharded store stays lazy so this
     # worker only materialises the shards its probes actually route to.
@@ -375,15 +391,8 @@ def _init_process(ctx: BatchContext) -> None:
 
 
 def _process_shard(shard: Shard) -> ShardResult:
-    assert _PROCESS_CTX is not None and _PROCESS_CACHE is not None
-    return _run_shard(
-        shard,
-        _PROCESS_CTX,
-        _PROCESS_CTX.master,
-        _PROCESS_CACHE,
-        _PROCESS_MEMO,
-        _PROCESS_CHASE_MEMO,
-    )
+    assert _PROCESS_CTX is not None and _PROCESS_CACHES
+    return _run_shard(shard, _PROCESS_CTX, _PROCESS_CTX.master, *_PROCESS_CACHES)
 
 
 class ShardExecutor:
@@ -396,7 +405,7 @@ class ShardExecutor:
         *,
         workers: int = 1,
         backend: str = "thread",
-        cache: ProbeCache | None = None,
+        cache: LRUCache | None = None,
     ):
         if workers < 1:
             raise CerFixError(f"workers must be >= 1, got {workers}")
@@ -405,15 +414,13 @@ class ShardExecutor:
         self.ctx = ctx
         self.workers = workers
         self.backend = backend
-        #: The serial/thread paths share one cache; exposed for reporting.
-        #: A preloaded ``cache`` (cross-run persistence, see
-        #: :func:`repro.batch.cache.load_probe_cache`) is used as-is.
-        self.cache = cache if cache is not None else ProbeCache(ctx.cache_size)
-        #: ...and one suggestion memo (see :func:`_run_shard`) plus one
-        #: chase-transcript memo (see :func:`repro.core.chase.chase_memoized`
-        #: — identical validated states across groups chase once).
-        self.memo = LRUMemo(max(ctx.cache_size, 1))
-        self.chase_memo = LRUMemo(max(ctx.cache_size, 1))
+        #: The serial/thread paths share one probe cache (a preloaded one,
+        #: see :func:`repro.batch.cache.load_probe_cache`, is used as-is),
+        #: one suggestion memo (see :func:`_run_shard`) and one chase-
+        #: transcript memo (see :func:`repro.core.chase.chase_memoized`).
+        self.cache = cache if cache is not None else LRUCache(ctx.cache_size)
+        self.memo = LRUCache(ctx.cache_size)
+        self.chase_memo = LRUCache(ctx.cache_size)
 
     def run(
         self,

@@ -29,6 +29,7 @@ from repro.batch.executor import BatchContext, ShardExecutor, ShardResult
 from repro.batch.journal import CheckpointJournal
 from repro.batch.planner import build_plan, transcript_projection
 from repro.batch.report import BatchReport, build_report
+from repro.cache import CacheStats
 from repro.core.certainty import CertaintyMode, Scenario
 from repro.core.region import RankedRegion
 from repro.core.ruleset import RuleSet
@@ -291,13 +292,18 @@ class BatchCleaner:
 
         relation = self._assemble(dirty, results, projection)
         changed_cells = self._replay_audit(results, tuple_ids, dirty, projection)
-        # The serial/thread paths share the executor's cache (its counter
-        # is exact there); process workers each hold a private cache, so
-        # their evictions only exist as per-shard deltas.
+        # The serial/thread paths share the executor's caches (their
+        # counters are exact there); process workers each hold private
+        # caches, so their counts only exist as the fresh shards' deltas.
         if workers > 1 and backend == "process":
-            evictions = sum(r.cache_evictions for r in results if not r.resumed)
+            evictions = sum(r.cache_evictions for r in fresh)
+            memo = CacheStats(
+                hits=sum(r.memo_hits for r in fresh),
+                misses=sum(r.memo_misses for r in fresh),
+            )
         else:
-            evictions = executor.cache.evictions
+            evictions = executor.cache.stats.evictions
+            memo = executor.memo.stats
         report = build_report(
             results,
             tuples=plan.total_tuples,
@@ -312,7 +318,7 @@ class BatchCleaner:
         # the old values member by member); the per-group aggregate
         # would over- or under-count payload-column changes.
         report.changed_cells = changed_cells
-        self._publish_metrics(executor, results, evictions)
+        self._publish_metrics(executor, results, evictions, memo)
         if cache_stamp is not None:
             saved = save_probe_cache(executor.cache, cache_path, **cache_stamp)
             persistence += f"; saved {saved} entries"
@@ -326,11 +332,12 @@ class BatchCleaner:
         executor: ShardExecutor,
         results: Sequence[ShardResult],
         evictions: int,
+        memo: CacheStats,
     ) -> None:
         """Fold this run's totals into the process-wide registry — the
         live numbers behind the explorers' ``/api/metrics`` probe-cache
-        and suggestion-memo sections (per-shard deltas, so the counts
-        are exact under every backend, process workers included)."""
+        and suggestion-memo sections (exact under every backend: see
+        :meth:`clean` for where ``evictions`` and ``memo`` come from)."""
         reg = get_registry()
         reg.inc("cerfix.batch.runs")
         reg.inc("cerfix.batch.tuples", sum(r.tuples for r in results))
@@ -340,9 +347,8 @@ class BatchCleaner:
         reg.inc("cerfix.probe_cache.evictions", evictions)
         reg.set_gauge("cerfix.probe_cache.size", len(executor.cache))
         reg.set_gauge("cerfix.probe_cache.maxsize", executor.cache.maxsize)
-        memo_stats = executor.memo.stats
-        reg.inc("cerfix.suggestion_memo.hits", memo_stats.hits)
-        reg.inc("cerfix.suggestion_memo.misses", memo_stats.misses)
+        reg.inc("cerfix.suggestion_memo.hits", memo.hits)
+        reg.inc("cerfix.suggestion_memo.misses", memo.misses)
         reg.set_gauge("cerfix.suggestion_memo.size", len(executor.memo))
         reg.set_gauge("cerfix.suggestion_memo.maxsize", executor.memo.maxsize)
 

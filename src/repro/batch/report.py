@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.batch.cache import CacheStats
 from repro.batch.executor import ShardResult
+from repro.cache import CacheStats
 
 
 @dataclass(frozen=True)

@@ -422,7 +422,7 @@ def chase_memoized(
 ) -> ChaseResult:
     """:func:`chase`, sharing transcripts across identical validated
     states via ``memo`` (a ``get``/``put`` mapping, e.g.
-    :class:`repro.service.cache.LRUMemo`).
+    :class:`repro.cache.LRUCache`).
 
     The caller owns key-space hygiene for everything *not* in the key:
     one memo must only ever see one (ruleset, master content, use_index)

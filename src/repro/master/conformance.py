@@ -52,6 +52,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro import CerFix, CertaintyMode
+from repro.cache import LRUCache
 from repro.core.ruleset import RuleSet
 from repro.master.store import (
     MasterStore,
@@ -469,8 +470,6 @@ def run_interleaved_monitor_path(
     """
     if case.truth is None:
         raise ValueError("interleaving fuzz needs ground truth")
-    from repro.service.cache import LRUMemo
-
     engine = CerFix(
         case.ruleset, store, mode=CertaintyMode.ANCHORED, max_combos=max_combos
     )
@@ -480,7 +479,7 @@ def run_interleaved_monitor_path(
     # One memo per run (never shared across runs, so runs stay fully
     # independent): duplicate-heavy cases re-derive identical
     # suggestions constantly, and memoisation is deterministic.
-    memo = LRUMemo(4096)
+    memo = LRUCache(4096)
     sessions, users = [], []
     for i, row in enumerate(case.dirty.rows()):
         truth = case.truth.row(i).to_dict()

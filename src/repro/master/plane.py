@@ -27,12 +27,17 @@ exactly once, in order.
 The plane only changes how probes reach the store: :func:`chase` stays
 the one decision procedure, and a memoised answer is the one the store
 gives for that key.
+
+:class:`CachedMasterDataManager` is the long-lived counterpart: it reads
+through a bounded :class:`~repro.cache.LRUCache` under the same key.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
+from repro.cache import LRUCache
 from repro.core.certainty import FreshValue
 from repro.core.chase import ChaseResult, chase
 from repro.core.rule import Constant, EditingRule
@@ -55,8 +60,8 @@ class ProbeKeyer:
 
     Keys are normalised with the rule's match operators, so 'EH8 4AH'
     and 'eh8 4ah' share one entry in every probe cache: the plane's
-    memo, the batch :class:`~repro.batch.cache.ProbeCache` and the entry
-    service's shared cache. Safe to share between threads: every
+    memo and the :class:`~repro.cache.LRUCache` behind every
+    :class:`CachedMasterDataManager`. Safe to share between threads: every
     structure it fills is derived, so two threads racing to fill the
     same slot store equal values.
     """
@@ -89,6 +94,68 @@ class ProbeKeyer:
                 self._memo.clear()
             self._memo[memo_key] = key
         return key
+
+
+class CachedMasterDataManager(MasterDataManager):
+    """A manager whose :meth:`match` reads through an
+    :class:`~repro.cache.LRUCache` of probe results.
+
+    A miss goes to ``batcher.probe_sync`` when a batcher was given (the
+    entry service's :class:`~repro.service.batcher.ProbeBatcher`, which
+    coalesces concurrent misses and fills the cache), else to
+    ``store.probe``. A batch run builds one per shard, the entry service
+    shares one between every session; ``hits`` and ``misses`` count
+    this instance's lookups, so per-shard reports stay exact when
+    shards share a cache. The cache is never invalidated, so
+    :meth:`apply_update` refuses.
+    """
+
+    def __init__(
+        self,
+        source: Relation | MasterStore,
+        cache: LRUCache,
+        batcher: Any = None,
+        keyer: ProbeKeyer | None = None,
+    ):
+        super().__init__(source)
+        self.cache = cache
+        self.batcher = batcher
+        self.keyer = keyer if keyer is not None else ProbeKeyer()
+        self.hits = 0
+        self.misses = 0
+        self._count_lock = threading.Lock()
+
+    def match(
+        self,
+        rule: EditingRule,
+        values: Mapping[str, Any],
+        *,
+        use_index: bool = True,
+    ) -> MasterMatch:
+        if isinstance(rule.source, Constant):
+            return super().match(rule, values, use_index=use_index)
+        key = self.keyer.key(rule, values)
+        match = self.cache.get(key)
+        if match is not None:
+            with self._count_lock:
+                self.hits += 1
+            return match
+        with self._count_lock:
+            self.misses += 1
+        if self.batcher is not None:
+            return self.batcher.probe_sync(key, rule, values)
+        match = self.store.probe(rule, values, use_index=use_index)
+        self.cache.put(key, match)
+        return match
+
+    def apply_update(self, add=(), remove=()):
+        raise NotImplementedError(
+            "a cached master manager never invalidates its probe cache; apply "
+            "master updates on the engine's own manager and build a new one"
+        )
+
+    def __repr__(self) -> str:
+        return f"CachedMasterDataManager({self.store!r}, {self.hits} hits / {self.misses} misses)"
 
 
 class ProbeMiss(Exception):

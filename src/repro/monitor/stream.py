@@ -15,6 +15,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import MonitorError
 from repro.audit.log import AuditLog
+from repro.cache import LRUCache
 from repro.core.certainty import CertaintyMode, Scenario
 from repro.core.region import RankedRegion
 from repro.core.ruleset import RuleSet
@@ -88,32 +89,6 @@ class StreamReport:
         return self.tuples / self.elapsed_seconds if self.elapsed_seconds else 0.0
 
 
-class _SuggestionMemo:
-    """A bounded get/put memo shared by one stream's sessions.
-
-    Point-of-entry traffic is duplicate-heavy (the same population
-    re-enters transactions), and a suggestion is a deterministic
-    function of the validated (attr, value) pairs plus the engine
-    configuration — which is constant across one stream run, so the
-    memo-key hygiene the session API requires holds by construction
-    (same ruleset, master, regions, scenario for every session).
-    """
-
-    __slots__ = ("_store", "_maxsize")
-
-    def __init__(self, maxsize: int = 65536):
-        self._store: dict = {}
-        self._maxsize = maxsize
-
-    def get(self, key, default=None):
-        return self._store.get(key, default)
-
-    def put(self, key, value) -> None:
-        if len(self._store) >= self._maxsize:
-            self._store.clear()
-        self._store[key] = value
-
-
 class StreamProcessor:
     """Run monitor sessions over a relation of incoming dirty tuples."""
 
@@ -164,7 +139,10 @@ class StreamProcessor:
                 f"truth has {len(truth)} rows but the dirty stream has {len(dirty)}"
             )
         report = StreamReport()
-        memo = _SuggestionMemo()
+        # Sessions of one stream share one engine configuration, so a
+        # suggestion is a function of the validated (attr, value) pairs
+        # alone, and duplicate-heavy entry traffic re-asks the same ones.
+        memo = LRUCache(65536)
         start = time.perf_counter()
         for i, row in enumerate(dirty.rows()):
             tid = tuple_ids[i] if tuple_ids is not None else f"t{i}"

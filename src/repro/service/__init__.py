@@ -12,7 +12,8 @@ sessions over one engine:
     the probe micro-batcher — concurrent cache misses against the
     master store are collapsed per key and answered in batched lookups;
 :mod:`repro.service.cache`
-    async/thread-safe shared caches (probe results, suggestion memo);
+    the shared probe cache and suggestion memo (both a
+    :class:`repro.cache.LRUCache`) and the epoch-scoped :class:`MemoView`;
 :mod:`repro.service.limits`
     admission control — bounded global and per-session queues with
     ``429 Retry-After`` backpressure;

@@ -25,14 +25,15 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 from urllib.parse import parse_qs
 
 from repro.audit.stats import attribute_stats, overall_stats
+from repro.cache import LRUCache
 from repro.errors import CerFixError, MonitorError
-from repro.master.plane import ProbeKeyer
+from repro.master.plane import CachedMasterDataManager
 from repro.monitor.session import MonitorSession
 from repro.obs import trace
 from repro.obs.metrics import get_registry
 from repro.obs.monitor import install_process_gauges
-from repro.service.batcher import CoalescingMasterDataManager, ProbeBatcher
-from repro.service.cache import LRUMemo, MemoView, SharedProbeCache
+from repro.service.batcher import ProbeBatcher
+from repro.service.cache import MemoView
 from repro.service.limits import Admission, AdmissionController
 from repro.service.metrics import ServiceMetrics
 
@@ -253,10 +254,12 @@ class AsyncCerFixService:
 
     Shared infrastructure (one instance each, all sessions):
 
-    * a read-through :class:`SharedProbeCache` over the engine's master
-      store, fed by the :class:`ProbeBatcher`'s coalesced micro-batches;
-    * a :class:`~repro.service.cache.LRUMemo` suggestion memo, scoped
-      to the current regions epoch;
+    * a read-through :class:`~repro.cache.LRUCache` of probe results
+      over the engine's master store, read by one
+      :class:`~repro.master.plane.CachedMasterDataManager` and fed by
+      the :class:`ProbeBatcher`'s coalesced micro-batches;
+    * an :class:`~repro.cache.LRUCache` suggestion memo, scoped to the
+      current regions epoch;
     * an :class:`AdmissionController` enforcing the global/per-session
       queue bounds (saturation answers ``429`` + ``Retry-After``);
     * :class:`ServiceMetrics` behind ``GET /api/metrics``.
@@ -314,8 +317,8 @@ class AsyncCerFixService:
         self.dispatch_mode = dispatch
         self.engine = engine
         self.metrics = ServiceMetrics()
-        self.cache = SharedProbeCache(cache_size)
-        self.memo = LRUMemo(memo_size)
+        self.cache = LRUCache(cache_size)
+        self.memo = LRUCache(memo_size)
         self.admission = AdmissionController(
             max_sessions=max_sessions,
             max_inflight=max_inflight,
@@ -328,10 +331,7 @@ class AsyncCerFixService:
             max_batch=max_batch,
             metrics=self.metrics,
         )
-        self.keyer = ProbeKeyer()
-        self.manager = CoalescingMasterDataManager(
-            engine.master.store, self.cache, self.batcher, self.keyer
-        )
+        self.manager = CachedMasterDataManager(engine.master.store, self.cache, self.batcher)
         self.core = RoutingCore(
             engine, session_factory=self._open_session, metrics_json=self.metrics_json
         )

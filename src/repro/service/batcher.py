@@ -17,12 +17,14 @@ sessions' shared probe cache and the
     one :meth:`~repro.master.store.MasterStore.probe_many` call.
 
 Threading model: sessions run on executor threads and enter through
-:class:`CoalescingMasterDataManager` — a synchronous
-:meth:`~repro.master.manager.MasterDataManager.match` that checks the
-(thread-safe) shared cache first and bridges only *misses* into the
-event loop with ``run_coroutine_threadsafe``. The drain runs on the
-loop; for in-memory backends (every store probing RAM, including
-sqlite) the lookup happens inline — index reads never block the loop
+one shared :class:`~repro.master.plane.CachedMasterDataManager` (also
+importable here as :class:`CoalescingMasterDataManager`). Its
+synchronous ``match`` checks the shared :class:`~repro.cache.LRUCache`
+first, under that cache's one lock, and hands only *misses* to
+:meth:`ProbeBatcher.probe_sync`, which bridges them into the event
+loop with ``run_coroutine_threadsafe``. The drain runs on the loop;
+for in-memory backends (every store probing RAM, including sqlite)
+the lookup happens inline — index reads never block the loop
 meaningfully, and keeping them off the session executor makes the
 bridge deadlock-free by construction. An ``io_bound`` store (the
 remote shard cluster) instead has its ``probe_many`` dispatched to the
@@ -40,14 +42,17 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Mapping
 
-from repro.core.rule import Constant, EditingRule
-from repro.master.manager import MasterDataManager, MasterMatch
-from repro.master.plane import ProbeKeyer
+from repro.cache import LRUCache
+from repro.core.rule import EditingRule
+from repro.master.manager import MasterMatch
+from repro.master.plane import CachedMasterDataManager, ProbeKeyer
 from repro.master.store import MasterStore
 from repro.obs import trace
-from repro.relational.relation import Relation
-from repro.service.cache import SharedProbeCache
 from repro.service.metrics import ServiceMetrics
+
+__all__ = ["CoalescingMasterDataManager", "ProbeBatcher", "ProbeKeyer"]
+
+CoalescingMasterDataManager = CachedMasterDataManager
 
 
 class ProbeBatcher:
@@ -62,7 +67,7 @@ class ProbeBatcher:
     def __init__(
         self,
         store: MasterStore,
-        cache: SharedProbeCache,
+        cache: LRUCache,
         *,
         window: float = 0.001,
         max_batch: int = 64,
@@ -181,54 +186,3 @@ class ProbeBatcher:
             return match
         handle = asyncio.run_coroutine_threadsafe(self.probe(key, rule, values), loop)
         return handle.result()
-
-
-class CoalescingMasterDataManager(MasterDataManager):
-    """The sessions' view of master data inside the entry service.
-
-    ``match`` consults the shared :class:`SharedProbeCache` first
-    (thread-safe, hit/miss counters race-free), and routes misses
-    through the :class:`ProbeBatcher`. One instance is shared by every
-    concurrent session — unlike
-    :class:`~repro.batch.cache.CachingMasterDataManager`, which is
-    built one-per-shard-worker, this class has no single-owner-thread
-    assumption anywhere.
-
-    The cache is never invalidated: the service does not expose master
-    updates, and :meth:`apply_update` refuses loudly rather than
-    serving stale matches.
-    """
-
-    def __init__(
-        self,
-        source: Relation | MasterStore,
-        cache: SharedProbeCache,
-        batcher: ProbeBatcher,
-        keyer: ProbeKeyer,
-    ):
-        super().__init__(source)
-        self.cache = cache
-        self.batcher = batcher
-        self.keyer = keyer
-
-    def match(
-        self,
-        rule: EditingRule,
-        values: Mapping[str, Any],
-        *,
-        use_index: bool = True,
-    ) -> MasterMatch:
-        if isinstance(rule.source, Constant):
-            return super().match(rule, values, use_index=use_index)
-        key = self.keyer.key(rule, values)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached
-        return self.batcher.probe_sync(key, rule, values)
-
-    def apply_update(self, add=(), remove=()):  # pragma: no cover - guarded path
-        raise NotImplementedError(
-            "the entry service shares one probe cache across sessions and "
-            "never invalidates it; apply master updates on the engine and "
-            "restart the service"
-        )

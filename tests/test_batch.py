@@ -23,6 +23,7 @@ from repro.batch.executor import BatchContext
 from repro.errors import CerFixError
 from repro.master.manager import MasterDataManager
 from repro.master.store import ShardedMasterStore
+from repro.obs.metrics import get_registry
 from repro.relational.relation import Relation
 from repro.scenarios import hospital, uk_customers as uk
 
@@ -168,7 +169,7 @@ def test_probe_cache_lru_eviction():
     assert cache.get(("b",)) is None
     assert cache.get(("a",)) is m
     assert cache.get(("c",)) is m
-    assert cache.evictions == 1
+    assert cache.stats.evictions == 1
 
 
 def test_caching_manager_matches_base(paper_ruleset, paper_manager):
@@ -221,6 +222,30 @@ def test_tiny_cache_reports_evictions(uk_batch, workers, backend):
     cleaner = BatchCleaner(uk.paper_ruleset(), master, cache_size=1)
     result = cleaner.clean(wl.dirty, wl.clean, workers=workers, backend=backend)
     assert result.report.cache.evictions > 0
+
+
+def test_suggestion_memo_counts_agree_across_backends():
+    """Every backend publishes the same number of suggestion-memo
+    lookups for one input. Process workers hold private memos, so their
+    counts must come back on the shard results."""
+    master = uk.generate_master(20, seed=1)
+    wl = uk.generate_workload(master, 400, seed=2)
+    engine = CerFix(uk.paper_ruleset(), master)
+    registry = get_registry()
+    lookups = {}
+    for workers, backend in ((1, "thread"), (2, "thread"), (2, "process")):
+        before = registry.counter_value("cerfix.suggestion_memo.hits") + registry.counter_value(
+            "cerfix.suggestion_memo.misses"
+        )
+        result = engine.clean_relation(wl.dirty, wl.clean, workers=workers, backend=backend)
+        assert result.report.backend == backend
+        lookups[workers, backend] = (
+            registry.counter_value("cerfix.suggestion_memo.hits")
+            + registry.counter_value("cerfix.suggestion_memo.misses")
+            - before
+        )
+    assert lookups[1, "thread"] > 0
+    assert lookups[1, "thread"] == lookups[2, "thread"] == lookups[2, "process"]
 
 
 def test_duplicate_signatures_mean_cache_hits_and_dedup(uk_batch):
@@ -517,6 +542,6 @@ def test_probe_cache_preload_respects_maxsize():
     cache = ProbeCache(maxsize=2)
     entries = [((f"r{i}", (i,)), MasterMatch((), ())) for i in range(5)]
     assert cache.preload(entries) == 2
-    assert cache.evictions == 0  # preload overflow is not a runtime eviction
+    assert cache.stats.evictions == 0  # preload overflow is not a runtime eviction
     assert cache.get(("r4", (4,))) is not None
     assert cache.get(("r0", (0,))) is None

@@ -144,6 +144,30 @@ def test_journal_roundtrip_preserves_shard_results(workload, tmp_path):
     assert sum(r.tuples for r in done.values()) == result.report.tuples
 
 
+def test_journal_without_memo_counts_still_resumes(workload, tmp_path):
+    """Shard lines written before shard results carried suggestion-memo
+    counts still load, with those counts read as zero."""
+    master, wl = workload
+    journal = tmp_path / "journal.jsonl"
+    first = _engine(master).clean_relation(
+        wl.dirty, wl.clean, workers=1, shards=4, journal_path=journal
+    )
+    lines = [json.loads(l) for l in journal.read_text().splitlines()]
+    for line in lines:
+        line.pop("memo_hits", None)
+        line.pop("memo_misses", None)
+    journal.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    fingerprint = lines[0]["fingerprint"]
+    done = CheckpointJournal(journal).load(fingerprint)
+    assert sorted(done) == [0, 1, 2, 3]
+    assert all(r.memo_hits == r.memo_misses == 0 for r in done.values())
+    resumed = _engine(master).clean_relation(
+        wl.dirty, wl.clean, workers=1, shards=4, journal_path=journal
+    )
+    assert resumed.report.resumed_shards == 4
+    assert resumed.relation.tuples() == first.relation.tuples()
+
+
 def test_record_before_open_raises(tmp_path):
     journal = CheckpointJournal(tmp_path / "j.jsonl")
     from repro.batch.executor import ShardResult

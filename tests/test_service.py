@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -389,24 +390,44 @@ def test_service_metrics_schema(server):
 
 
 def test_shared_probe_cache_stats_are_race_free():
+    """8 threads over 320 keys against 64 slots: hits, misses and
+    evictions stay exact under contention, and ``peek`` counts nothing."""
     cache = SharedProbeCache(64)
     sentinel = object()
     barrier = threading.Barrier(8)
+    span = 40  # keys per thread; 8 x 40 > maxsize, so entries churn
+    inserted = [0] * 8
 
-    def hammer():
+    def hammer(t):
         barrier.wait()
         for i in range(500):
-            key = ("k", i % 16)
+            cache.peek(("k", (t + 1) % 8, i % span))  # a neighbour's key, uncounted
+            key = ("k", t, i % span)
             if cache.get(key) is None:
+                # Only thread t writes its own keys, so a miss always
+                # inserts a new entry.
                 cache.put(key, sentinel)
+                inserted[t] += 1
 
-    threads = [threading.Thread(target=hammer) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    threads = [threading.Thread(target=hammer, args=(t,)) for t in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     stats = cache.stats
     assert stats.hits + stats.misses == 8 * 500  # no lost increments
+    assert len(cache) <= cache.maxsize
+    assert stats.evictions == sum(inserted) - len(cache) > 0
+    for t in range(8):
+        for i in range(span):
+            cache.peek(("k", t, i))
+    assert cache.stats == stats
 
 
 def test_suggestion_memo_preserves_suggestions():
