@@ -73,7 +73,6 @@ from repro.service import (
     AsyncCerFixServer,
     AsyncCerFixService,
     LoadReport,
-    ServiceMetrics,
     SharedProbeCache,
     run_load,
 )
@@ -146,7 +145,6 @@ __all__ = [
     "AsyncCerFixServer",
     "AsyncCerFixService",
     "LoadReport",
-    "ServiceMetrics",
     "SharedProbeCache",
     "run_load",
     "BatchCleaner",

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.errors import CerFixError
-from repro.audit.log import AuditLog
 from repro.batch.planner import PlanGroup, Shard
 from repro.cache import LRUCache
 from repro.core.certainty import CertaintyMode, Scenario
@@ -189,23 +188,6 @@ class ShardResult:
         )
 
 
-def _serialize_events(audit: AuditLog) -> tuple[dict, ...]:
-    """Audit events as plain dicts (seq/tuple_id dropped — the pipeline
-    reassigns both when replaying onto member tuples)."""
-    return tuple(
-        {
-            "attr": e.attr,
-            "old": e.old,
-            "new": e.new,
-            "source": e.source,
-            "rule_id": e.rule_id,
-            "master_positions": tuple(e.master_positions),
-            "round_no": e.round_no,
-        }
-        for e in audit
-    )
-
-
 class _TranscriptRecorder:
     """An audit sink recording straight into the serialized event form.
 
@@ -213,9 +195,9 @@ class _TranscriptRecorder:
     shipped in :attr:`GroupOutcome.audit_events`; recording through a
     full :class:`AuditLog` (lock, sequence numbers, per-tuple index,
     frozen event objects) just to strip all of that back off was
-    measurable at batch scale. Same dict shape as
-    :func:`_serialize_events` — seq/tuple_id are per-member anyway and
-    get assigned at replay time.
+    measurable at batch scale. Events are plain dicts without seq or
+    tuple_id — both are per-member anyway and get assigned at replay
+    time.
     """
 
     __slots__ = ("events",)

@@ -60,7 +60,6 @@ from repro.obs import trace
 from repro.obs.metrics import get_registry
 from repro.obs.monitor import install_process_gauges
 from repro.master.store import (
-    MasterMatch,
     ShardedMasterStore,
     require_scalar_cells,
 )
@@ -226,10 +225,6 @@ class ShardServerApp:
             self.probes += len(matches)
         self._probe_counter.inc(len(matches))
         return 200, {"matches": matches}
-
-    def match_from_json(self, obj: dict) -> MasterMatch:
-        """Decode one wire match (shared with the client for symmetry)."""
-        return MasterMatch(positions=tuple(obj["positions"]), values=tuple(obj["values"]))
 
 
 class ShardServer(HTTPServer):

@@ -13,8 +13,10 @@ here, once:
 
 * the parser bounds: a header block over :data:`MAX_HEADER_BYTES` or a
   malformed request line or ``Content-Length`` answers ``400``, a body
-  over :data:`MAX_BODY_BYTES` answers ``413``, then the connection
-  closes;
+  over :data:`MAX_BODY_BYTES` answers ``413``, and headers plus body
+  not received within :data:`READ_DEADLINE_S` of the request line
+  answer ``408``; then the connection closes. An idle keep-alive
+  connection waiting for its next request line is not timed out;
 * the JSON-body decode: ``400`` on a body that is not JSON, and the
   connection stays usable;
 * ``GET /metrics?format=prometheus`` (also ``/api/metrics``): the
@@ -45,6 +47,8 @@ from repro.obs.metrics import get_registry
 #: Bounds a hostile/buggy client can hit before the connection is dropped.
 MAX_HEADER_BYTES = 32 * 1024
 MAX_BODY_BYTES = 64 * 1024 * 1024
+#: Seconds from the end of a request line to the end of its body.
+READ_DEADLINE_S = 30.0
 
 #: GET paths that answer the Prometheus exposition on ``?format=prometheus``.
 METRICS_PATHS = ("/metrics", "/api/metrics")
@@ -63,13 +67,22 @@ class _BadRequest(Exception):
         self.status = status
 
 
+def _expire(reader: asyncio.StreamReader) -> None:
+    """Fail a request whose rest did not arrive within :data:`READ_DEADLINE_S`:
+    its pending (or next) read raises the ``408``."""
+    reader.set_exception(
+        _BadRequest(f"request not received within {READ_DEADLINE_S:g}s", status=408)
+    )
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> tuple[str, str, dict[str, str], bytes] | None:
     """(method, path, headers, body), or None on a cleanly closed socket.
 
     Header names come back lower-cased. Raises :class:`_BadRequest` on
-    anything malformed or over the bounds.
+    anything malformed or over the bounds, or when the rest of the
+    request does not arrive within :data:`READ_DEADLINE_S`.
     """
     try:
         line = await reader.readuntil(b"\r\n")
@@ -83,32 +96,39 @@ async def _read_request(
         method, path, _version = line.decode("latin-1").strip().split(" ", 2)
     except ValueError:
         raise _BadRequest(f"malformed request line {line[:200]!r}") from None
+    # A timer, not asyncio.wait_for: on 3.10/3.11 wait_for runs the read as
+    # a new task (+25us a request vs +3us, CPython 3.11 on a 2-vCPU Xeon);
+    # asyncio.timeout needs 3.11.
+    timer = asyncio.get_running_loop().call_later(READ_DEADLINE_S, _expire, reader)
     headers: dict[str, str] = {}
     total = len(line)
-    while True:
-        try:
-            line = await reader.readuntil(b"\r\n")
-        except asyncio.LimitOverrunError:
-            # a single >64KiB header line trips the StreamReader limit
-            # before the total-size check can
-            raise _BadRequest("header line too long") from None
-        total += len(line)
-        if total > MAX_HEADER_BYTES:
-            raise _BadRequest("headers too large")
-        if line in (b"\r\n", b"\n"):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    raw_length = headers.get("content-length") or "0"
     try:
-        length = int(raw_length)
-    except ValueError:
-        raise _BadRequest(f"bad Content-Length {raw_length[:64]!r}") from None
-    if length < 0:
-        raise _BadRequest(f"bad Content-Length {length}")
-    if length > MAX_BODY_BYTES:
-        raise _BadRequest(f"body of {length} bytes exceeds {MAX_BODY_BYTES}", status=413)
-    body = await reader.readexactly(length) if length else b""
+        while True:
+            try:
+                line = await reader.readuntil(b"\r\n")
+            except asyncio.LimitOverrunError:
+                # a single >64KiB header line trips the StreamReader limit
+                # before the total-size check can
+                raise _BadRequest("header line too long") from None
+            total += len(line)
+            if total > MAX_HEADER_BYTES:
+                raise _BadRequest("headers too large")
+            if line in (b"\r\n", b"\n"):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        raw_length = headers.get("content-length") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            raise _BadRequest(f"bad Content-Length {raw_length[:64]!r}") from None
+        if length < 0:
+            raise _BadRequest(f"bad Content-Length {length}")
+        if length > MAX_BODY_BYTES:
+            raise _BadRequest(f"body of {length} bytes exceeds {MAX_BODY_BYTES}", status=413)
+        body = await reader.readexactly(length) if length else b""
+    finally:
+        timer.cancel()
     return method.upper(), path, headers, body
 
 

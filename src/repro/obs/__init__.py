@@ -1,13 +1,13 @@
-"""Unified telemetry: one metrics registry, trace-correlated spans.
+"""Unified telemetry: metrics registries, trace-correlated spans.
 
-The subsystem has four halves, all stdlib-only and process-wide:
+The subsystem has four parts, all stdlib-only:
 
-* :mod:`repro.obs.metrics` — a lock-striped :class:`MetricsRegistry`
-  (counters, gauges, fixed-bucket latency histograms) that absorbs the
-  previously ad-hoc metric surfaces (``ServiceMetrics``, remote
-  per-shard stats, probe-cache counters, audit stats) under one
-  namespaced ``cerfix.metrics.v1`` dump, plus a bounded snapshot
-  history ring for delta rates (probes/s, error rate).
+* :mod:`repro.obs.metrics` — the lock-striped :class:`MetricsRegistry`
+  (counters, gauges, fixed-bucket latency histograms). The process-wide
+  one re-exports the other metric surfaces (each entry service's own
+  registry, remote per-shard stats, probe-cache counters, audit stats)
+  as sources in one namespaced ``cerfix.metrics.v1`` dump, and keeps a
+  bounded snapshot history ring for delta rates (probes/s, error rate).
 * :mod:`repro.obs.trace` — context-propagated spans with trace/span
   ids that cross thread pools, process pools and the remote-store HTTP
   boundary (``X-Cerfix-Trace``), exported as size-rotated sampled

@@ -1,14 +1,15 @@
-"""Process-wide metrics registry: counters, gauges, latency histograms.
+"""Metrics registries: counters, gauges, latency histograms.
 
-One registry per process (:func:`get_registry`), namespaced metric
-names (``cerfix.<surface>.<metric>``), lock-striped so hot paths (the
-chase, remote round trips) pay one short critical section per update —
-the same contention discipline as the batch probe cache.
+One process-wide registry (:func:`get_registry`) with namespaced names
+(``cerfix.<surface>.<metric>``), lock-striped so hot paths (the chase,
+remote round trips) pay one short critical section per update. Counts
+that must not mix with a sibling's live in a private
+:class:`MetricsRegistry` — each entry service keeps one.
 
-Subsystems that already keep their own structured stats (the async
-service's ``ServiceMetrics``, the remote store's per-shard stats, a
-shard server's request counters, the audit log) register themselves as
-**sources**: named zero-argument callables re-exported verbatim under
+Subsystems that keep their own structured stats (an entry service's
+registry, the remote store's per-shard stats, a shard server's request
+counters, the audit log) register themselves as **sources**: named
+zero-argument callables re-exported verbatim under
 ``dump()["sources"]``. Sources are held weakly (a registered engine or
 service must not be kept alive by telemetry) and keyed by name with
 last-wins semantics, so re-creating an engine in the same process
@@ -84,6 +85,37 @@ def bucket_percentile(
     return max_ms
 
 
+def percentiles_ms(counts: list[int], count: int, max_ms: float) -> dict[str, float]:
+    """``{p50_ms, p95_ms, p99_ms}`` of a bucket distribution, rounded as
+    every JSON view reports them."""
+    return {
+        key: round(bucket_percentile(counts, count, max_ms, q), 4)
+        for key, q in (("p50_ms", 0.50), ("p95_ms", 0.95), ("p99_ms", 0.99))
+    }
+
+
+def delta_percentiles(
+    new_counts: list[int], old_counts: list[int], count: int, max_ms: float
+) -> dict[str, float]:
+    """:func:`percentiles_ms` of the ``count`` observations one histogram
+    took between two snapshots."""
+    return percentiles_ms([a - b for a, b in zip(new_counts, old_counts)], count, max_ms)
+
+
+def rate_window(snaps: list[dict], window_s: float | None) -> tuple[dict, dict, float] | None:
+    """``(old, new, dt)`` for the newest snapshot and the oldest one inside
+    ``window_s`` (the oldest retained if ``None``); ``None`` when no rate
+    can be taken (under two snapshots, or no time between them)."""
+    if len(snaps) < 2:
+        return None
+    new, old = snaps[-1], snaps[0]
+    if window_s is not None:
+        cutoff = new["ts"] - window_s
+        old = next((snap for snap in snaps[:-1] if snap["ts"] >= cutoff), old)
+    dt = new["ts"] - old["ts"]
+    return (old, new, dt) if dt > 0 else None
+
+
 class Counter:
     """A monotonically increasing integer, guarded by a striped lock."""
 
@@ -149,10 +181,6 @@ class Histogram:
 
     def to_json(self) -> dict[str, Any]:
         counts, count, total_ms, max_ms = self.snapshot()
-
-        def percentile(q: float) -> float:
-            return bucket_percentile(counts, count, max_ms, q)
-
         buckets = {
             f"<={BUCKET_BOUNDS_MS[i]:g}": n
             for i, n in enumerate(counts[:-1])
@@ -164,9 +192,7 @@ class Histogram:
             "count": count,
             "mean_ms": round(total_ms / count, 4) if count else 0.0,
             "max_ms": round(max_ms, 4),
-            "p50_ms": round(percentile(0.50), 4),
-            "p95_ms": round(percentile(0.95), 4),
-            "p99_ms": round(percentile(0.99), 4),
+            **percentiles_ms(counts, count, max_ms),
             "buckets": buckets,
         }
 
@@ -344,21 +370,10 @@ class MetricsRegistry:
         observations made inside the window. Needs two snapshots spaced
         in time; answers an empty window otherwise.
         """
-        snaps = self.history()
-        empty = {"window_s": 0.0, "counters_per_s": {}, "histograms": {}}
-        if len(snaps) < 2:
-            return empty
-        new = snaps[-1]
-        old = snaps[0]
-        if window_s is not None:
-            cutoff = new["ts"] - window_s
-            for snap in snaps[:-1]:
-                if snap["ts"] >= cutoff:
-                    old = snap
-                    break
-        dt = new["ts"] - old["ts"]
-        if dt <= 0:
-            return empty
+        window = rate_window(self.history(), window_s)
+        if window is None:
+            return {"window_s": 0.0, "counters_per_s": {}, "histograms": {}}
+        old, new, dt = window
         out: dict[str, Any] = {
             "window_s": round(dt, 3),
             "counters_per_s": {},
@@ -371,16 +386,12 @@ class MetricsRegistry:
             h_old = old["histograms"].get(name)
             if h_old is None:
                 h_old = {"counts": [0] * len(h_new["counts"]), "count": 0, "total_ms": 0.0}
-            d_counts = [a - b for a, b in zip(h_new["counts"], h_old["counts"])]
             d_count = h_new["count"] - h_old["count"]
             d_total = h_new["total_ms"] - h_old["total_ms"]
-            max_ms = h_new["max_ms"]
             out["histograms"][name] = {
                 "count_per_s": round(d_count / dt, 4),
                 "mean_ms": round(d_total / d_count, 4) if d_count > 0 else 0.0,
-                "p50_ms": round(bucket_percentile(d_counts, d_count, max_ms, 0.50), 4),
-                "p95_ms": round(bucket_percentile(d_counts, d_count, max_ms, 0.95), 4),
-                "p99_ms": round(bucket_percentile(d_counts, d_count, max_ms, 0.99), 4),
+                **delta_percentiles(h_new["counts"], h_old["counts"], d_count, h_new["max_ms"]),
             }
         return out
 

@@ -42,7 +42,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.errors import ScrapeError
 
-from .metrics import BUCKET_BOUNDS_MS, MetricsRegistry, bucket_percentile, get_registry
+from .metrics import BUCKET_BOUNDS_MS, MetricsRegistry, delta_percentiles, get_registry, rate_window
 
 _PROC_START = time.monotonic()
 
@@ -333,9 +333,9 @@ class ClusterMonitor:
         return totals
 
     @staticmethod
-    def _shard_hist(snapshot: dict, name: str) -> Dict[int, tuple[list[int], int, float, float]]:
-        """Per-shard (counts, count, total, max) for one histogram name."""
-        out: Dict[int, tuple[list[int], int, float, float]] = {}
+    def _shard_hist(snapshot: dict, name: str) -> Dict[int, tuple[list[int], int, float]]:
+        """Per-shard (counts, count, max) for one histogram name."""
+        out: Dict[int, tuple[list[int], int, float]] = {}
         for m in snapshot["members"]:
             if not (m["up"] and m["metrics"]):
                 continue
@@ -344,18 +344,16 @@ class ClusterMonitor:
                 continue
             counts = _hist_counts(hist)
             count = int(hist.get("count", 0))
-            total_ms = float(hist.get("mean_ms", 0.0)) * count
             max_ms = float(hist.get("max_ms", 0.0))
             prev = out.get(m["shard"])
             if prev is None:
-                out[m["shard"]] = (counts, count, total_ms, max_ms)
+                out[m["shard"]] = (counts, count, max_ms)
             else:
                 merged = [a + b for a, b in zip(prev[0], counts)]
                 out[m["shard"]] = (
                     merged,
                     prev[1] + count,
-                    prev[2] + total_ms,
-                    max(prev[3], max_ms),
+                    max(prev[2], max_ms),
                 )
         return out
 
@@ -368,7 +366,6 @@ class ClusterMonitor:
         — all derived by differencing scraped snapshots, so a freshly
         started monitor answers zeros until its second scrape.
         """
-        snaps = self.history()
         empty = {
             "window_s": 0.0,
             "counters_per_s": {},
@@ -378,19 +375,10 @@ class ClusterMonitor:
             "failovers_per_min": 0.0,
             "per_shard": {},
         }
-        if len(snaps) < 2:
+        window = rate_window(self.history(), window_s)
+        if window is None:
             return empty
-        new = snaps[-1]
-        old = snaps[0]
-        if window_s is not None:
-            cutoff = new["ts"] - window_s
-            for snap in snaps[:-1]:
-                if snap["ts"] >= cutoff:
-                    old = snap
-                    break
-        dt = new["ts"] - old["ts"]
-        if dt <= 0:
-            return empty
+        old, new, dt = window
         new_totals = self._fleet_counters(new)
         old_totals = self._fleet_counters(old)
         per_s = {
@@ -400,17 +388,12 @@ class ClusterMonitor:
         per_shard: dict[str, Any] = {}
         new_h = self._shard_hist(new, "cerfix.shard.request_seconds")
         old_h = self._shard_hist(old, "cerfix.shard.request_seconds")
-        for shard, (counts, count, total_ms, max_ms) in sorted(new_h.items()):
-            o_counts, o_count, _o_total, _o_max = old_h.get(
-                shard, ([0] * len(counts), 0, 0.0, 0.0)
-            )
-            d_counts = [a - b for a, b in zip(counts, o_counts)]
+        for shard, (counts, count, max_ms) in sorted(new_h.items()):
+            o_counts, o_count, _ = old_h.get(shard, ([0] * len(counts), 0, 0.0))
             d_count = count - o_count
             per_shard[str(shard)] = {
                 "count_per_s": round(d_count / dt, 4),
-                "p50_ms": round(bucket_percentile(d_counts, d_count, max_ms, 0.50), 4),
-                "p95_ms": round(bucket_percentile(d_counts, d_count, max_ms, 0.95), 4),
-                "p99_ms": round(bucket_percentile(d_counts, d_count, max_ms, 0.99), 4),
+                **delta_percentiles(counts, o_counts, d_count, max_ms),
             }
         return {
             "window_s": round(dt, 3),

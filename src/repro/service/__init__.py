@@ -7,7 +7,9 @@ sessions over one engine:
 
 :mod:`repro.service.app`
     the :class:`RoutingCore` routing table and the
-    :class:`AsyncCerFixService` orchestrator;
+    :class:`AsyncCerFixService` orchestrator, which counts requests,
+    sessions and latency for ``/api/metrics`` on its own
+    :class:`~repro.obs.metrics.MetricsRegistry`;
 :mod:`repro.service.batcher`
     the probe micro-batcher — concurrent cache misses against the
     master store are collapsed per key and answered in batched lookups;
@@ -17,8 +19,6 @@ sessions over one engine:
 :mod:`repro.service.limits`
     admission control — bounded global and per-session queues with
     ``429 Retry-After`` backpressure;
-:mod:`repro.service.metrics`
-    race-free counters and latency percentiles for ``/api/metrics``;
 :mod:`repro.service.http`
     :class:`AsyncCerFixServer`, the service on the shared bounded
     asyncio HTTP layer (:mod:`repro.net`);
@@ -39,7 +39,6 @@ from repro.service.cache import LRUMemo, MemoView, SharedProbeCache
 from repro.service.http import AsyncCerFixServer
 from repro.service.limits import Admission, AdmissionController
 from repro.service.loadgen import LoadReport, run_load
-from repro.service.metrics import LatencyWindow, ServiceMetrics
 
 __all__ = [
     "Admission",
@@ -47,13 +46,11 @@ __all__ = [
     "AsyncCerFixServer",
     "AsyncCerFixService",
     "CoalescingMasterDataManager",
-    "LatencyWindow",
     "LoadReport",
     "LRUMemo",
     "MemoView",
     "ProbeBatcher",
     "RoutingCore",
-    "ServiceMetrics",
     "SharedProbeCache",
     "run_load",
 ]

@@ -1,8 +1,9 @@
 """The routing core and the async entry service.
 
-:class:`RoutingCore` is the single routing table of the entry surface's
-JSON API. :class:`AsyncCerFixService` calls it either inline on the
-event loop or from executor threads, under per-session asyncio locks.
+:class:`RoutingCore` is the routing table of the entry surface's JSON
+API. :class:`AsyncCerFixService` calls it either inline on the event
+loop or from executor threads, under per-session asyncio locks, and
+answers ``GET /api/metrics`` itself from the counters it owns.
 
 :class:`AsyncCerFixService` is the concurrent orchestrator: it owns the
 shared probe cache, the probe micro-batcher, the suggestion memo, the
@@ -30,12 +31,11 @@ from repro.errors import CerFixError, MonitorError
 from repro.master.plane import CachedMasterDataManager
 from repro.monitor.session import MonitorSession
 from repro.obs import trace
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.monitor import install_process_gauges
 from repro.service.batcher import ProbeBatcher
 from repro.service.cache import MemoView
 from repro.service.limits import Admission, AdmissionController
-from repro.service.metrics import ServiceMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.engine import CerFix
@@ -59,6 +59,10 @@ def session_state(session: MonitorSession) -> dict[str, Any]:
             "rationale": suggestion.rationale,
         },
     }
+
+
+#: Route classes a request is binned into for latency accounting.
+ROUTE_CLASSES = ("open", "validate", "read", "other")
 
 
 def classify_route(method: str, parts: list[str]) -> tuple[str, str | None]:
@@ -89,21 +93,22 @@ class RoutingCore:
         engine: "CerFix",
         *,
         session_factory: Callable[[Mapping[str, Any], str], MonitorSession] | None = None,
-        metrics_json: Callable[[], dict] | None = None,
     ):
         self.engine = engine
         self.sessions: dict[str, MonitorSession] = {}
         self._session_factory = session_factory or (
             lambda values, tuple_id: engine.session(values, tuple_id)
         )
-        self._metrics_json = metrics_json
         self._auto_id = itertools.count()
 
-    def _default_tuple_id(self) -> str:
-        # A monotone counter, skipping live ids: len(sessions) would
-        # repeat an existing id forever once DELETE shrinks the dict.
+    def auto_session_id(self) -> str:
+        """The next auto session id (``s<n>``), skipping live ids.
+
+        A monotone counter: ``len(sessions)`` would repeat an existing
+        id forever once DELETE shrinks the dict, and ids a client
+        claimed explicitly are skipped too."""
         while True:
-            tuple_id = f"web{next(self._auto_id)}"
+            tuple_id = f"s{next(self._auto_id)}"
             if tuple_id not in self.sessions:
                 return tuple_id
 
@@ -132,12 +137,6 @@ class RoutingCore:
                 "strategy": engine.strategy.value,
                 "store": engine.master.store.stats(),
             }
-        if parts == ["api", "metrics"] and method == "GET":
-            if self._metrics_json is None:
-                return 404, {
-                    "error": "metrics are collected by the entry service; run `cerfix serve`"
-                }
-            return 200, self._metrics_json()
         if parts == ["api", "rules"] and method == "GET":
             return 200, [
                 {"id": r.rule_id, "rule": r.render(), "description": r.description}
@@ -190,7 +189,7 @@ class RoutingCore:
                 "report": result.report.to_json(),
             }
         if parts == ["api", "sessions"] and method == "POST":
-            tuple_id = str(body.get("tuple_id") or self._default_tuple_id())
+            tuple_id = str(body.get("tuple_id") or self.auto_session_id())
             values = body.get("values")
             if not isinstance(values, dict):
                 return 400, {"error": "body must carry a 'values' object"}
@@ -262,7 +261,9 @@ class AsyncCerFixService:
       current regions epoch;
     * an :class:`AdmissionController` enforcing the global/per-session
       queue bounds (saturation answers ``429`` + ``Retry-After``);
-    * :class:`ServiceMetrics` behind ``GET /api/metrics``.
+    * a private :class:`~repro.obs.metrics.MetricsRegistry` counting
+      requests, sessions, probes and per-route-class latency behind
+      ``GET /api/metrics`` (exported as the ``service`` registry source).
 
     Session operations run on a thread-pool executor under per-session
     asyncio locks; engine-mutating routes (``/api/clean``,
@@ -316,7 +317,12 @@ class AsyncCerFixService:
             )
         self.dispatch_mode = dispatch
         self.engine = engine
-        self.metrics = ServiceMetrics()
+        self.metrics = MetricsRegistry()
+        # per-request instruments, held to skip the by-name lookup; every
+        # latency class exists up front, so each reports before its first request
+        self._started = self.metrics.counter("requests.started")
+        self._finished = self.metrics.counter("requests.finished")
+        self._latency = {c: self.metrics.histogram(f"latency.{c}") for c in ROUTE_CLASSES}
         self.cache = LRUCache(cache_size)
         self.memo = LRUCache(memo_size)
         self.admission = AdmissionController(
@@ -332,9 +338,7 @@ class AsyncCerFixService:
             metrics=self.metrics,
         )
         self.manager = CachedMasterDataManager(engine.master.store, self.cache, self.batcher)
-        self.core = RoutingCore(
-            engine, session_factory=self._open_session, metrics_json=self.metrics_json
-        )
+        self.core = RoutingCore(engine, session_factory=self._open_session)
         if engine.use_index:
             engine.master.prebuild(engine.ruleset)  # probing happens from many threads
         self._executor = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="cerfix-svc")
@@ -348,9 +352,8 @@ class AsyncCerFixService:
         #: ``completed_retention`` so a long-running service does not
         #: grow memory with every session it ever finished.
         self._retained: dict[str, None] = {}
-        self._id_counter = itertools.count()
         registry = get_registry()
-        self.metrics.register(registry, "service")
+        registry.register_source("service", self.counts_json)
         install_process_gauges(registry)
         registry.set_gauge("cerfix.service.max_sessions", max_sessions)
         registry.set_gauge("cerfix.service.max_inflight", max_inflight)
@@ -406,19 +409,6 @@ class AsyncCerFixService:
         if lock is not None and not lock.locked() and not getattr(lock, "_waiters", None):
             self._session_locks.pop(session_id, None)
 
-    def _auto_session_id(self) -> str:
-        """The next auto id, skipping ids a client claimed explicitly."""
-        while True:
-            candidate = f"s{next(self._id_counter)}"
-            if candidate not in self.core.sessions:
-                return candidate
-
-    @property
-    def active_sessions(self) -> int:
-        """Open sessions holding an admission slot (reserved, not yet
-        completed/evicted)."""
-        return self.admission.active_sessions
-
     # -- request handling ----------------------------------------------------
 
     async def handle(
@@ -435,7 +425,7 @@ class AsyncCerFixService:
         parts = [p for p in path.partition("?")[0].split("/") if p]
         route_class, session_id = classify_route(method, parts)
         with trace.span("request", method=method, route=route_class):
-            self.metrics.request_started()
+            self._started.inc()
             start = time.perf_counter()
             status: int = 500
             try:
@@ -444,7 +434,9 @@ class AsyncCerFixService:
                 )
                 return status, payload, extra
             finally:
-                self.metrics.request_finished(route_class, status, time.perf_counter() - start)
+                self._latency[route_class].observe(time.perf_counter() - start)
+                self.metrics.inc(f"requests.status.{status}")
+                self._finished.inc()
 
     async def _process(
         self,
@@ -455,7 +447,7 @@ class AsyncCerFixService:
         route_class: str,
         session_id: str | None,
     ) -> tuple[int, dict | list, dict[str, str]]:
-        mean_latency = self.metrics.mean_latency()
+        mean_latency = self.mean_latency()
         admission = self.admission.enter_request(mean_latency)
         if not admission.admitted:
             return self._rejected(admission)
@@ -463,10 +455,10 @@ class AsyncCerFixService:
         try:
             if route_class == "open":
                 body = dict(body or {})
-                if not body.get("tuple_id"):  # falsy ids get the auto id,
-                    # matching RoutingCore's fallback, so the lock we take
-                    # here is for the id the session is actually stored under
-                    body["tuple_id"] = self._auto_session_id()
+                if not body.get("tuple_id"):  # falsy ids get the auto id here,
+                    # on the loop, so the lock we take is for the id the
+                    # session is actually stored under
+                    body["tuple_id"] = self.core.auto_session_id()
                 session_id = str(body["tuple_id"])
                 # Reservation, not a read-then-check: concurrent opens
                 # racing an unreserved count would all be admitted.
@@ -497,6 +489,8 @@ class AsyncCerFixService:
                     # a Lock behind, or the dict grows with the id space.
                     self._drop_session_lock(session_id)
                     self.admission.forget_session(session_id)
+            elif parts == ["api", "metrics"] and method == "GET":
+                status, payload = 200, self.metrics_json()  # reads no engine state
             else:
                 async with self._engine_lock:
                     status, payload = await self._dispatch(method, path, body)
@@ -535,7 +529,7 @@ class AsyncCerFixService:
         for one session are ordered by its lock). A completed or evicted
         session releases its admission slot exactly once."""
         if route_class == "open" and status == 201:
-            self.metrics.session_opened()
+            self.metrics.inc("sessions.opened")
             if isinstance(payload, dict) and payload.get("complete"):
                 self._mark_completed(session_id)
         elif route_class == "validate" and status == 200:
@@ -547,7 +541,7 @@ class AsyncCerFixService:
                 self._mark_completed(session_id)
         elif method == "DELETE" and status == 200:
             if session_id not in self._completed:
-                self.metrics.session_evicted()
+                self.metrics.inc("sessions.evicted")
                 self.admission.release_session()
             self._completed.discard(session_id)
             self._retained.pop(session_id, None)
@@ -558,7 +552,7 @@ class AsyncCerFixService:
         ``completed_retention`` (completed work must not grow memory
         forever — the fix itself is in the response and the audit log)."""
         self._completed.add(session_id)
-        self.metrics.session_completed()
+        self.metrics.inc("sessions.completed")
         self.admission.release_session()
         self._retained[session_id] = None
         while len(self._retained) > self.completed_retention:
@@ -571,8 +565,61 @@ class AsyncCerFixService:
 
     # -- metrics -------------------------------------------------------------
 
+    def mean_latency(self) -> float:
+        """Lifetime mean request latency (seconds) for the Retry-After
+        estimate. On the per-request hot path, so the running totals are
+        read without their locks: a hint tolerates mixing two moments."""
+        count = total_ms = 0
+        for h in self._latency.values():
+            count += h.count
+            total_ms += h.total_ms
+        return total_ms / count / 1000.0 if count else 0.0
+
+    def counts_json(self) -> dict:
+        """The ``service`` registry source: the ``requests``, ``sessions``,
+        ``probes`` and ``latency_ms`` parts of ``GET /api/metrics``.
+
+        Counters are read one at a time, each one that is subtracted (or
+        must not exceed another) before the one it is compared with; all
+        only grow, so no derived value can read negative.
+        """
+        value = self.metrics.counter_value
+        finished = value("requests.finished")
+        completed, evicted = value("sessions.completed"), value("sessions.evicted")
+        probes = ("coalesced", "batches", "batched_misses", "store_probes")
+        probes_json = {key: value(f"probes.{key}") for key in probes}
+        started, opened = value("requests.started"), value("sessions.opened")
+        dump = self.metrics.dump()
+        by_status = {
+            int(name.rpartition(".")[2]): n
+            for name, n in dump["counters"].items()
+            if name.startswith("requests.status.")
+        }
+        return {
+            "requests": {
+                "total": started,
+                "in_flight": started - finished,
+                "by_status": {str(code): by_status[code] for code in sorted(by_status)},
+                "rejected_429": by_status.get(429, 0),
+            },
+            "sessions": {
+                "opened": opened,
+                "completed": completed,
+                "evicted": evicted,
+                "active": opened - completed - evicted,
+            },
+            "probes": probes_json,
+            "latency_ms": {
+                c: {
+                    k: dump["histograms"][f"latency.{c}"][k]
+                    for k in ("count", "p50_ms", "p95_ms", "p99_ms", "mean_ms")
+                }
+                for c in ROUTE_CLASSES
+            },
+        }
+
     def metrics_json(self) -> dict:
-        data = self.metrics.to_json()
+        data = self.counts_json()
         stats = self.cache.stats
         data["probe_cache"] = {
             **stats.to_json(),

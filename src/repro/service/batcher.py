@@ -48,7 +48,7 @@ from repro.master.manager import MasterMatch
 from repro.master.plane import CachedMasterDataManager, ProbeKeyer
 from repro.master.store import MasterStore
 from repro.obs import trace
-from repro.service.metrics import ServiceMetrics
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["CoalescingMasterDataManager", "ProbeBatcher", "ProbeKeyer"]
 
@@ -71,13 +71,13 @@ class ProbeBatcher:
         *,
         window: float = 0.001,
         max_batch: int = 64,
-        metrics: ServiceMetrics | None = None,
+        metrics: MetricsRegistry | None = None,
     ):
         self.store = store
         self.cache = cache
         self.window = window
         self.max_batch = max_batch
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._pending: dict[tuple, asyncio.Future] = {}
         self._queue: list[tuple[tuple, EditingRule, Mapping[str, Any]]] = []
@@ -96,7 +96,7 @@ class ProbeBatcher:
         """Resolve one cache miss, collapsing against in-flight keys."""
         pending = self._pending.get(key)
         if pending is not None:
-            self.metrics.probe_coalesced()
+            self.metrics.inc("probes.coalesced")
             return await pending
         cached = self.cache.peek(key)  # a drain may have filled it meanwhile
         if cached is not None:
@@ -141,7 +141,11 @@ class ProbeBatcher:
                     if future is not None and not future.done():
                         future.set_exception(exc)
                 continue
-            self.metrics.batch_executed(len(batch))
+            # store probes first, batches last: a concurrent reader
+            # (counts_json) reads them in the opposite order
+            self.metrics.inc("probes.store_probes", len(batch))
+            self.metrics.inc("probes.batched_misses", len(batch))
+            self.metrics.inc("probes.batches")
             for (key, _, _), match in zip(batch, matches):
                 self.cache.put(key, match)
                 future = self._pending.pop(key, None)
@@ -182,7 +186,7 @@ class ProbeBatcher:
         if running is loop:
             match = self.store.probe(rule, values)
             self.cache.put(key, match)
-            self.metrics.probe_direct()
+            self.metrics.inc("probes.store_probes")
             return match
         handle = asyncio.run_coroutine_threadsafe(self.probe(key, rule, values), loop)
         return handle.result()

@@ -87,11 +87,6 @@ class AdmissionController:
         with self._lock:
             self._inflight -= 1
 
-    @property
-    def inflight(self) -> int:
-        with self._lock:
-            return self._inflight
-
     # -- session capacity ---------------------------------------------------
 
     def reserve_session(self, mean_latency: float = 0.0) -> Admission:

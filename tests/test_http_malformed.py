@@ -2,20 +2,23 @@
 
 Both servers (the entry service and a shard server) run on the one
 bounded asyncio layer in :mod:`repro.net`. Each malformed request must
-get a 400 (413 for an oversized body) with a JSON ``error`` instead of
-a dropped socket or a read that blocks until the client gives up, and
-the server must keep answering fresh connections afterwards.
+get a 400 (413 for an oversized body, 408 for one that stalls) with a
+JSON ``error`` instead of a dropped socket or a read that blocks until
+the client gives up, and the server must keep answering fresh
+connections afterwards.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+import time
 
 import pytest
 
 from repro import CerFix
 from repro.master.shardserver import ShardServer, ShardServerApp
+from repro.net import server as net_server
 from repro.net import MAX_BODY_BYTES, MAX_HEADER_BYTES
 from repro.scenarios import uk_customers as uk
 
@@ -96,6 +99,26 @@ def test_malformed_request_answers_400_and_server_survives(surfaces, surface, ca
     raw, half_close = _cases(post_route)[case]
     status, headers, body = _exchange(server, raw, half_close)
     assert status in (400, 413), (status, body)
+    assert headers["content-type"] == "application/json"
+    assert json.loads(body)["error"]
+    status, _, body = _exchange(server, _request(f"GET {ok_route} HTTP/1.1\nHost: t\n\n"))
+    assert status == 200, body
+
+
+@pytest.mark.parametrize("surface", list(ROUTES))
+def test_stalled_body_answers_408_and_server_survives(surfaces, surface, monkeypatch):
+    """A header block announcing a body that never comes is cut off at
+    the read deadline, well before the client's 5 s socket timeout."""
+    monkeypatch.setattr(net_server, "READ_DEADLINE_S", 0.5)
+    server = surfaces[surface]
+    ok_route, post_route = ROUTES[surface]
+    start = time.perf_counter()
+    status, headers, body = _exchange(
+        server, _request(f"POST {post_route} HTTP/1.1\nHost: t\nContent-Length: 10\n\n")
+    )
+    elapsed = time.perf_counter() - start
+    assert status == 408, (status, body)
+    assert elapsed < 3.0, elapsed
     assert headers["content-type"] == "application/json"
     assert json.loads(body)["error"]
     status, _, body = _exchange(server, _request(f"GET {ok_route} HTTP/1.1\nHost: t\n\n"))

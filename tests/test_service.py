@@ -31,6 +31,7 @@ from repro import CerFix
 from repro.config import InstanceConfig
 from repro.errors import ValidationError
 from repro.explorer.cli import build_parser
+from repro.obs.metrics import MetricsRegistry
 from repro.master.store import SingleRelationStore
 from repro.relational.relation import Relation
 from repro.scenarios import uk_customers as uk
@@ -39,7 +40,6 @@ from repro.service.batcher import CoalescingMasterDataManager, ProbeBatcher, Pro
 from repro.service.cache import LRUMemo, MemoView, SharedProbeCache
 from repro.service.limits import AdmissionController
 from repro.service.loadgen import run_load
-from repro.service.metrics import LatencyWindow, ServiceMetrics
 
 
 def _request(url: str, method: str = "GET", body: dict | None = None):
@@ -172,7 +172,7 @@ def test_probe_coalescing_collapses_identical_keys():
     store = _SlowCountingStore(Relation(master.schema, master.tuples()))
     store.prebuild(ruleset)
     cache = SharedProbeCache(128)
-    metrics = ServiceMetrics()
+    metrics = MetricsRegistry()
     batcher = ProbeBatcher(store, cache, window=0.02, max_batch=64, metrics=metrics)
     keyer = ProbeKeyer()
     manager = CoalescingMasterDataManager(store, cache, batcher, keyer)
@@ -200,8 +200,8 @@ def test_probe_coalescing_collapses_identical_keys():
     assert len(results) == 8
     assert all(r == results[0] for r in results)
     assert store.probe_calls == 1  # one store hit served all eight
-    assert metrics.coalesced_probes == 7
-    assert metrics.store_probes == 1
+    assert metrics.counter_value("probes.coalesced") == 7
+    assert metrics.counter_value("probes.store_probes") == 1
     # ... and the next call is a pure cache hit
     assert manager.match(rule, values) == results[0]
     assert cache.stats.hits >= 1
@@ -223,10 +223,43 @@ def test_coalescing_happens_under_real_service_contention(uk_workload):
         assert report.dropped == 0 and not report.errors
         stats = service.cache.stats
         assert stats.hits > 0 and stats.hit_rate > 0.3
-        assert service.metrics.probe_batches > 0
-        assert service.metrics.batched_misses == service.metrics.store_probes
+        value = service.metrics.counter_value
+        assert value("probes.batches") > 0
+        assert value("probes.batched_misses") == value("probes.store_probes")
     finally:
         server.close()
+
+
+def test_metrics_read_order_keeps_derived_counts_non_negative(server, monkeypatch):
+    """The service reads its counters one at a time, with no snapshot
+    lock. Even with a whole request, session and probe batch completing
+    between every two reads, in-flight and active never read negative
+    and batches <= batched misses <= store probes still holds."""
+    metrics = server.service.metrics
+    read = metrics.counter_value
+    lifecycle = (
+        ("requests.started", 1),
+        ("sessions.opened", 1),
+        ("probes.store_probes", 2),
+        ("probes.batched_misses", 2),
+        ("probes.batches", 1),
+        ("sessions.completed", 1),
+        ("requests.finished", 1),
+    )
+
+    def racing_read(name):
+        value = read(name)
+        for counter, n in lifecycle:
+            metrics.inc(counter, n)
+        return value
+
+    monkeypatch.setattr(metrics, "counter_value", racing_read)
+    for _ in range(3):
+        data = server.service.counts_json()
+        probes = data["probes"]
+        assert data["requests"]["in_flight"] >= 0
+        assert data["sessions"]["active"] >= 0
+        assert probes["batches"] <= probes["batched_misses"] <= probes["store_probes"]
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +288,7 @@ def test_session_capacity_429_with_retry_after(uk_workload):
         status, _, _ = _request(f"{server.url}/api/sessions", "POST",
                                 {"tuple_id": "cap2", "values": values})
         assert status == 201
-        assert server.service.metrics.to_json()["requests"]["rejected_429"] == 1
+        assert server.service.counts_json()["requests"]["rejected_429"] == 1
     finally:
         server.close()
 
@@ -272,7 +305,7 @@ def test_backpressure_retries_drop_nothing(uk_workload):
         report = run_load(server.url, rows, truth, concurrency=24)
         assert report.dropped == 0 and not report.errors
         assert report.retries_429 > 0  # backpressure actually fired
-        metrics = server.service.metrics.to_json()
+        metrics = server.service.counts_json()
         assert metrics["requests"]["rejected_429"] == report.retries_429
         assert metrics["sessions"]["completed"] == len(rows)
     finally:
@@ -527,17 +560,6 @@ def test_classify_route():
     assert classify_route("GET", []) == ("other", None)
 
 
-def test_latency_window_percentiles():
-    window = LatencyWindow(maxlen=10)
-    assert window.to_json()["count"] == 0
-    for ms in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10):
-        window.record(ms / 1000)
-    snap = window.to_json()
-    assert snap["count"] == 10
-    assert snap["p50_ms"] == pytest.approx(6.0, abs=1.01)
-    assert snap["p99_ms"] == pytest.approx(10.0, abs=0.01)
-
-
 def test_default_session_ids_survive_deletes(uk_workload):
     """RoutingCore's auto ids must not collide after DELETE shrinks the
     sessions dict (len()-based ids would repeat forever)."""
@@ -545,12 +567,12 @@ def test_default_session_ids_survive_deletes(uk_workload):
     core = RoutingCore(CerFix(uk.paper_ruleset(), master))
     values = {k: str(v) for k, v in uk.fig3_tuple().items()}
     open_body = {"values": values}
-    assert core.handle("POST", "/api/sessions", open_body)[1]["tuple_id"] == "web0"
-    assert core.handle("POST", "/api/sessions", open_body)[1]["tuple_id"] == "web1"
-    assert core.handle("DELETE", "/api/sessions/web0", None)[0] == 200
+    assert core.handle("POST", "/api/sessions", open_body)[1]["tuple_id"] == "s0"
+    assert core.handle("POST", "/api/sessions", open_body)[1]["tuple_id"] == "s1"
+    assert core.handle("DELETE", "/api/sessions/s0", None)[0] == 200
     status, state = core.handle("POST", "/api/sessions", open_body)
-    assert status == 201 and state["tuple_id"] == "web2"
-    assert set(core.sessions) == {"web1", "web2"}
+    assert status == 201 and state["tuple_id"] == "s2"
+    assert set(core.sessions) == {"s1", "s2"}
 
 
 def test_completed_sessions_are_retained_boundedly(uk_workload):
