@@ -1,14 +1,73 @@
-"""The audit log: an append-only store of change events."""
+"""The audit log: an append-only store of change events.
+
+Events arrive two ways. Monitor and service sessions :meth:`record`
+one :class:`ChangeEvent` at a time. Batch replay appends one
+*segment* per resolved group (:meth:`AuditLog.record_group`): the
+member tuple ids, the group's shared event template and per-member
+``old`` overrides only where a projection makes them differ. A
+duplicate-heavy batch run thus stores one transcript per group instead
+of one event object per member and cell — the certain-fix registry,
+stored compactly. Segment events are materialised lazily, with the
+sequence numbers per-event recording would have given them.
+"""
 
 from __future__ import annotations
 
 import json
 import threading
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from repro.audit.events import ChangeEvent
+from repro.audit.events import SOURCES, ChangeEvent
+from repro.errors import ValidationError
 from repro.obs import trace as tracing
+
+
+class _Segment(NamedTuple):
+    """One group's events for all its members, member-major: member
+    ``i``'s event ``j`` has sequence number ``base + i * len(events) + j``."""
+
+    base: int
+    tuple_ids: tuple[str, ...]
+    events: tuple[Mapping[str, Any], ...]
+    #: (member index, event index) -> that member's ``old``, or None.
+    olds: Mapping[tuple[int, int], Any] | None
+
+    @property
+    def size(self) -> int:
+        """The number of events this segment stands for."""
+        return len(self.tuple_ids) * len(self.events)
+
+    def member(self, i: int) -> list[ChangeEvent]:
+        """Materialise member ``i``'s events."""
+        base = self.base + i * len(self.events)
+        tuple_id = self.tuple_ids[i]
+        olds = self.olds
+        return [
+            ChangeEvent(
+                seq=base + j,
+                tuple_id=tuple_id,
+                attr=e["attr"],
+                old=olds.get((i, j), e["old"]) if olds else e["old"],
+                new=e["new"],
+                source=e["source"],
+                rule_id=e["rule_id"],
+                master_positions=tuple(e["master_positions"]),
+                round_no=e["round_no"],
+                trace_id=e.get("trace_id"),
+                span_id=e.get("span_id"),
+            )
+            for j, e in enumerate(self.events)
+        ]
+
+
+def _expand(entries: Iterable[ChangeEvent | _Segment]) -> Iterator[ChangeEvent]:
+    for entry in entries:
+        if isinstance(entry, ChangeEvent):
+            yield entry
+        else:
+            for i in range(len(entry.tuple_ids)):
+                yield from entry.member(i)
 
 
 class AuditLog:
@@ -27,19 +86,33 @@ class AuditLog:
     """
 
     def __init__(self):
-        self._events: list[ChangeEvent] = []
-        self._by_tuple: dict[str, list[ChangeEvent]] = {}
+        #: Single events and group segments, in sequence order.
+        self._entries: list[ChangeEvent | _Segment] = []
+        #: tuple id -> its events and (segment, member index) refs.
+        self._by_tuple: dict[str, list] = {}
+        self._len = 0
         self._lock = threading.Lock()
 
     def __getstate__(self) -> dict:
-        return {"events": list(self._events)}
+        with self._lock:
+            return {"entries": list(self._entries)}
 
     def __setstate__(self, state: dict) -> None:
-        self._events = list(state["events"])
-        self._by_tuple = {}
-        for event in self._events:
-            self._by_tuple.setdefault(event.tuple_id, []).append(event)
-        self._lock = threading.Lock()
+        self.__init__()
+        for entry in state["entries"]:
+            self._append(entry)
+
+    def _append(self, entry: ChangeEvent | _Segment) -> None:
+        """Append one entry and index it (caller holds the lock)."""
+        self._entries.append(entry)
+        if isinstance(entry, ChangeEvent):
+            self._by_tuple.setdefault(entry.tuple_id, []).append(entry)
+            self._len += 1
+            return
+        index = self._by_tuple
+        for i, tuple_id in enumerate(entry.tuple_ids):
+            index.setdefault(tuple_id, []).append((entry, i))
+        self._len += entry.size
 
     def record(
         self,
@@ -58,14 +131,12 @@ class AuditLog:
         """Append one event; the sequence number is assigned here.
 
         When tracing is enabled and no explicit ids are given, the
-        event is stamped with the active span — batch replay passes the
-        ids recorded *in the worker* instead, so provenance points at
-        the group-chase that actually produced the fix."""
+        event is stamped with the active span."""
         if trace_id is None:
             trace_id, span_id = tracing.current_ids()
         with self._lock:
             event = ChangeEvent(
-                seq=len(self._events),
+                seq=self._len,
                 tuple_id=tuple_id,
                 attr=attr,
                 old=old,
@@ -77,42 +148,91 @@ class AuditLog:
                 trace_id=trace_id,
                 span_id=span_id,
             )
-            self._events.append(event)
-            self._by_tuple.setdefault(tuple_id, []).append(event)
+            self._append(event)
         return event
+
+    def record_group(
+        self,
+        tuple_ids: Sequence[str],
+        events: Sequence[Mapping[str, Any]],
+        olds: Mapping[tuple[int, int], Any] | None = None,
+    ) -> None:
+        """Append ``events`` once per tuple id, as one segment.
+
+        ``events`` are serialized event dicts (``attr``, ``old``,
+        ``new``, ``source``, ``rule_id``, ``master_positions``,
+        ``round_no``, optionally ``trace_id``/``span_id``) shared by
+        every member; ``olds`` overrides ``old`` for (member index,
+        event index) pairs. The result is exactly what calling
+        :meth:`record` member by member, event by event, would have
+        stored — batch replay passes the ids recorded *in the worker*,
+        so provenance points at the group-chase that produced the fix;
+        an unstamped event takes the active span, as in :meth:`record`.
+        """
+        if not tuple_ids or not events:
+            return
+        for e in events:
+            if e["source"] not in SOURCES:
+                raise ValidationError(
+                    f"unknown audit source {e['source']!r} (expected one of {SOURCES})"
+                )
+        trace_id, span_id = tracing.current_ids()
+        if trace_id is not None:
+            events = [
+                e if e.get("trace_id") is not None
+                else {**e, "trace_id": trace_id, "span_id": span_id}
+                for e in events
+            ]
+        with self._lock:
+            self._append(_Segment(self._len, tuple(tuple_ids), tuple(events), olds or None))
+
+    def _snapshot(self) -> list[ChangeEvent | _Segment]:
+        with self._lock:
+            return list(self._entries)
 
     @property
     def events(self) -> tuple[ChangeEvent, ...]:
-        with self._lock:
-            return tuple(self._events)
+        return tuple(_expand(self._snapshot()))
 
     def filter(self, predicate: Callable[[ChangeEvent], bool]) -> list[ChangeEvent]:
-        return [e for e in self.events if predicate(e)]
+        return [e for e in _expand(self._snapshot()) if predicate(e)]
 
     def by_tuple(self, tuple_id: str) -> list[ChangeEvent]:
         """All events for one tuple, in order — the demo's per-tuple trace.
 
-        Served from a per-tuple index maintained on append, so the
-        monitoring stream's per-row trace stays O(events for that tuple)
-        instead of O(all events) — the difference between linear and
-        quadratic total stream cost."""
+        Served from a per-tuple index of events and segment members
+        maintained on append, so the monitoring stream's per-row trace
+        (and the DB cleaner's per-row provenance) stays O(events for
+        that tuple) instead of O(all events)."""
         with self._lock:
-            return list(self._by_tuple.get(tuple_id, ()))
+            refs = list(self._by_tuple.get(tuple_id, ()))
+        out: list[ChangeEvent] = []
+        for ref in refs:
+            if isinstance(ref, ChangeEvent):
+                out.append(ref)
+            else:
+                out.extend(ref[0].member(ref[1]))
+        return out
 
     def by_attr(self, attr: str) -> list[ChangeEvent]:
         """All events for one attribute (column) — the Fig. 4 column view."""
         return self.filter(lambda e: e.attr == attr)
 
     def stats(self) -> dict:
-        """Registry-source summary (see :mod:`repro.obs.metrics`)."""
+        """Registry-source summary (see :mod:`repro.obs.metrics`);
+        materialises nothing."""
         with self._lock:
-            return {"events": len(self._events), "tuples": len(self._by_tuple)}
+            return {"events": self._len, "tuples": len(self._by_tuple)}
 
     def tuple_ids(self) -> list[str]:
         """Distinct tuple ids, in first-seen order."""
         seen: dict[str, None] = {}
-        for e in self.events:
-            seen.setdefault(e.tuple_id)
+        for entry in self._snapshot():
+            if isinstance(entry, ChangeEvent):
+                seen.setdefault(entry.tuple_id)
+            else:
+                for tuple_id in entry.tuple_ids:
+                    seen.setdefault(tuple_id)
         return list(seen)
 
     # -- persistence -------------------------------------------------------
@@ -120,7 +240,7 @@ class AuditLog:
     def to_jsonl(self, path: str | Path) -> None:
         path = Path(path)
         with path.open("w", encoding="utf-8") as f:
-            for event in self.events:
+            for event in _expand(self._snapshot()):
                 f.write(json.dumps(event.to_json(), default=str))
                 f.write("\n")
 
@@ -132,14 +252,12 @@ class AuditLog:
             for line in f:
                 line = line.strip()
                 if line:
-                    event = ChangeEvent.from_json(json.loads(line))
-                    log._events.append(event)
-                    log._by_tuple.setdefault(event.tuple_id, []).append(event)
+                    log._append(ChangeEvent.from_json(json.loads(line)))
         return log
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._events)
+            return self._len
 
     def __iter__(self) -> Iterator[ChangeEvent]:
         return iter(self.events)

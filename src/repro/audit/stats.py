@@ -87,18 +87,20 @@ def attribute_stats(log: AuditLog, attrs: Iterable[str] | None = None) -> list[A
     ``attrs`` fixes the output order (e.g. schema order); defaults to
     first-seen order of attributes in the log.
     """
-    first = _first_validations(log.events)
+    # One snapshot: a batch log materialises its events on every read.
+    events = log.events
+    first = _first_validations(events)
     if attrs is None:
         seen: dict[str, None] = {}
-        for e in log.events:
+        for e in events:
             seen.setdefault(e.attr)
         attrs = list(seen)
     out = []
     for attr in attrs:
         user = sum(1 for e in first.values() if e.attr == attr and e.source == "user")
         rule = sum(1 for e in first.values() if e.attr == attr and e.source == "rule")
-        norm = sum(1 for e in log.events if e.attr == attr and e.source == "normalize")
-        changes = sum(1 for e in log.events if e.attr == attr and e.changed)
+        norm = sum(1 for e in events if e.attr == attr and e.source == "normalize")
+        changes = sum(1 for e in events if e.attr == attr and e.changed)
         confirmed = sum(
             1 for e in first.values() if e.attr == attr and not e.changed
         )
@@ -117,11 +119,12 @@ def attribute_stats(log: AuditLog, attrs: Iterable[str] | None = None) -> list[A
 
 def overall_stats(log: AuditLog) -> OverallStats:
     """Aggregate provenance across all cells in the log."""
-    first = _first_validations(log.events)
+    events = log.events
+    first = _first_validations(events)
     user = sum(1 for e in first.values() if e.source == "user")
     auto = sum(1 for e in first.values() if e.source == "rule")
-    norm = sum(1 for e in log.events if e.source == "normalize")
-    changes = sum(1 for e in log.events if e.changed)
+    norm = sum(1 for e in events if e.source == "normalize")
+    changes = sum(1 for e in events if e.changed)
     return OverallStats(
         tuples=len(log.tuple_ids()),
         user_cells=user,

@@ -6,9 +6,21 @@ result of a group depends only on the group and the engine
 configuration, never on scheduling. That is what makes the parallel
 backends *bit-identical* to the serial path.
 
-A run holds three :class:`~repro.cache.LRUCache` instances (probe
-cache, suggestion memo, chase-transcript memo); each shard probes
-through its own :class:`~repro.master.plane.CachedMasterDataManager`.
+Groups are resolved through a **session-transcript memo**. Every
+session decision reads validated values only, so a session is fixed by
+the answers it is given: the seed answer (``ctx.validated``), then the
+oracle's answer to each suggestion (``truth[suggestion.attrs]``). The
+memo is a trie keyed by that path of typed answers — an inner node
+holds the attributes the next question asks for, a leaf holds the
+outcome template. A group whose path ends at a leaf only rebinds each
+event's ``old`` from its own input values; a group that falls off the
+trie runs one real :class:`~repro.monitor.session.MonitorSession` and
+inserts its path.
+
+A run holds four :class:`~repro.cache.LRUCache` instances (probe
+cache, suggestion memo, chase-transcript memo, session-transcript
+memo); each shard probes through its own
+:class:`~repro.master.plane.CachedMasterDataManager`.
 
 Backends:
 
@@ -39,6 +51,7 @@ from repro.errors import CerFixError
 from repro.batch.planner import PlanGroup, Shard
 from repro.cache import LRUCache
 from repro.core.certainty import CertaintyMode, Scenario
+from repro.core.chase import same_value
 from repro.core.region import RankedRegion
 from repro.core.ruleset import RuleSet
 from repro.master.manager import MasterDataManager
@@ -141,6 +154,9 @@ class ShardResult:
     Eviction and suggestion-memo counts are the change in the shared
     cache while this shard ran: exact when shards on one cache run one
     at a time (the serial path, and inside each process worker).
+    Transcript-memo counts are per group (a hit replayed a memoised
+    session, a miss ran a real one), so they are exact under every
+    backend.
     """
 
     shard_id: int
@@ -151,6 +167,8 @@ class ShardResult:
     cache_evictions: int = 0
     memo_hits: int = 0
     memo_misses: int = 0
+    transcript_hits: int = 0
+    transcript_misses: int = 0
     resumed: bool = False
 
     @property
@@ -170,6 +188,8 @@ class ShardResult:
             "cache_evictions": self.cache_evictions,
             "memo_hits": self.memo_hits,
             "memo_misses": self.memo_misses,
+            "transcript_hits": self.transcript_hits,
+            "transcript_misses": self.transcript_misses,
             "outcomes": [o.to_json() for o in self.outcomes],
         }
 
@@ -184,6 +204,8 @@ class ShardResult:
             cache_evictions=obj.get("cache_evictions", 0),
             memo_hits=obj.get("memo_hits", 0),
             memo_misses=obj.get("memo_misses", 0),
+            transcript_hits=obj.get("transcript_hits", 0),
+            transcript_misses=obj.get("transcript_misses", 0),
             resumed=resumed,
         )
 
@@ -191,13 +213,12 @@ class ShardResult:
 class _TranscriptRecorder:
     """An audit sink recording straight into the serialized event form.
 
-    A group session's audit trail only ever becomes the replay template
-    shipped in :attr:`GroupOutcome.audit_events`; recording through a
-    full :class:`AuditLog` (lock, sequence numbers, per-tuple index,
-    frozen event objects) just to strip all of that back off was
-    measurable at batch scale. Events are plain dicts without seq or
-    tuple_id — both are per-member anyway and get assigned at replay
-    time.
+    A real group session's audit trail becomes the group's
+    :attr:`GroupOutcome.audit_events` and the template of its
+    transcript-memo leaf; the pipeline then appends it to the engine's
+    :class:`~repro.audit.log.AuditLog` as one segment for all members.
+    Events are plain dicts without seq or tuple_id — both are
+    per-member and get assigned by that segment.
     """
 
     __slots__ = ("events",)
@@ -236,35 +257,175 @@ class _TranscriptRecorder:
         self.events.append(event)
 
 
+class _RecordingOracle(OracleUser):
+    """An oracle that notes the attributes of every question it is
+    asked, so a real session's answer path can enter the memo."""
+
+    def __init__(self, truth, questions: list):
+        super().__init__(truth)
+        self.questions = questions
+
+    def respond(self, suggestion, session):
+        self.questions.append(suggestion.attrs)
+        return super().respond(suggestion, session)
+
+
+@dataclass(frozen=True)
+class _Leaf:
+    """A memoised session outcome: the event template (no trace stamps)
+    and everything the answer path alone determines.
+
+    Only an attribute's *first* event reads the group's input value as
+    its ``old``; every later ``old`` is an earlier event's ``new``.
+    ``inputs`` lists those first events as (index, attr, old, new),
+    ``changed`` counts the changed cells among the rest, and ``final``
+    maps every touched attribute to its last ``new``.
+    """
+
+    events: tuple[dict, ...]
+    inputs: tuple[tuple[int, str, Any, Any], ...]
+    changed: int
+    final: dict[str, Any]
+    complete: bool
+    rounds: int
+    user_cells: int
+    rule_cells: int
+    normalized_cells: int
+    conflicts: int
+
+    @classmethod
+    def of(cls, outcome: "GroupOutcome") -> "_Leaf":
+        events = tuple(
+            e if "trace_id" not in e
+            else {k: v for k, v in e.items() if k not in ("trace_id", "span_id")}
+            for e in outcome.audit_events
+        )
+        inputs = []
+        changed = 0
+        final: dict[str, Any] = {}
+        for j, e in enumerate(events):
+            if e["attr"] in final:
+                changed += e["old"] != e["new"]
+            else:
+                inputs.append((j, e["attr"], e["old"], e["new"]))
+            final[e["attr"]] = e["new"]
+        return cls(
+            events=events,
+            inputs=tuple(inputs),
+            changed=changed,
+            final=final,
+            complete=outcome.complete,
+            rounds=outcome.rounds,
+            user_cells=outcome.user_cells,
+            rule_cells=outcome.rule_cells,
+            normalized_cells=outcome.normalized_cells,
+            conflicts=outcome.conflicts,
+        )
+
+
+def _answer(attrs: Sequence[str], answers: dict) -> tuple:
+    """One edge of the memo: the typed answers to a question, flattened
+    to (attr, type, value, attr, type, value, ...). Types are part of
+    the key because ``1``, ``1.0`` and ``True`` hash alike but can steer
+    pattern matching and probe normalisation apart."""
+    edge = []
+    for a in attrs:
+        if a in answers:
+            value = answers[a]
+            edge += (a, value.__class__, value)
+    return tuple(edge)
+
+
 def _resolve_group(
     group: PlanGroup,
     ctx: BatchContext,
     manager: MasterDataManager,
     memo: LRUCache,
     chase_memo: LRUCache,
-) -> GroupOutcome:
-    """Clean one group's representative tuple.
+    transcripts: LRUCache,
+) -> tuple[GroupOutcome, bool]:
+    """Clean one group's representative tuple; True when it was a
+    transcript-memo hit.
 
     With truth, an :class:`OracleUser` drives the full monitor loop (the
     same machinery as the point-of-entry stream). Without truth, the
     chase runs from the trusted ``ctx.validated`` attributes and stops —
     rule-only repair; unvalidated cells keep their input values.
     """
-    audit = _TranscriptRecorder()
     with trace.span(
         "group-chase", rep=group.representative, members=len(group.members)
-    ):
-        return _resolve_group_inner(group, ctx, manager, memo, chase_memo, audit)
+    ) as span:
+        answers = group.truth if group.truth is not None else group.values
+        outcome = _replay(group, answers, transcripts)
+        span.annotate(transcript="miss" if outcome is None else "hit")
+        if outcome is not None:
+            return outcome, True
+        return _run_session(group, ctx, answers, manager, memo, chase_memo, transcripts), False
 
 
-def _resolve_group_inner(
+def _replay(group: PlanGroup, answers: dict, transcripts: LRUCache) -> GroupOutcome | None:
+    """Walk the memo along this group's answers; None unless the walk
+    ends at a leaf.
+
+    A hit rebinds each attribute's first ``old`` from the group's own
+    input values, the way :func:`repro.core.chase._rebind_chase` does
+    for one chase; everything else in the template is fixed by the
+    (typed) answer path. Events whose ``old`` does not change are
+    shared with the template, so the audit segments of a thousand
+    groups on one transcript hold one set of event dicts.
+    """
+    peek = transcripts.peek
+    path: tuple = ()
+    try:
+        node = peek(path)
+        while node.__class__ is tuple:
+            path += (_answer(node, answers),)
+            node = peek(path)
+    except TypeError:  # an unhashable answer: no memo for this group
+        return None
+    if node is None:
+        return None
+    values = group.values
+    events = node.events
+    changed = node.changed
+    for j, attr, t_old, t_new in node.inputs:
+        old = values[attr]
+        if old != t_new:
+            changed += 1
+        if old is not t_old and not same_value(old, t_old):
+            if events is node.events:
+                events = list(events)
+            events[j] = {**events[j], "old": old}
+    trace_id, span_id = trace.current_ids()
+    if trace_id is not None:
+        events = [{**e, "trace_id": trace_id, "span_id": span_id} for e in events]
+    state = dict(values)
+    state.update(node.final)
+    return GroupOutcome(
+        members=group.members,
+        values=state,
+        complete=node.complete,
+        rounds=node.rounds,
+        user_cells=node.user_cells,
+        rule_cells=node.rule_cells,
+        normalized_cells=node.normalized_cells,
+        changed_cells=changed,
+        conflicts=node.conflicts,
+        audit_events=tuple(events),
+    )
+
+
+def _run_session(
     group: PlanGroup,
     ctx: BatchContext,
+    answers: dict,
     manager: MasterDataManager,
     memo: LRUCache,
     chase_memo: LRUCache,
-    audit: _TranscriptRecorder,
+    transcripts: LRUCache,
 ) -> GroupOutcome:
+    """Run one real session for the group and insert its answer path."""
+    audit = _TranscriptRecorder()
     session = MonitorSession(
         ctx.ruleset,
         manager,
@@ -281,18 +442,19 @@ def _resolve_group_inner(
         chase_memo=chase_memo,
         trace=False,  # the group-chase span covers the whole session
     )
-    if group.truth is not None:
-        seed = [a for a in ctx.validated if a not in session.validated]
-        if seed and not session.is_complete:
+    questions: list[tuple[str, ...]] = []
+    seed = [a for a in ctx.validated if a not in session.validated]
+    if seed and not session.is_complete:
+        questions.append(tuple(seed))
+        if group.truth is not None:
             session.validate({a: group.truth[a] for a in seed})
-        session.run(OracleUser(group.truth), max_rounds=ctx.max_rounds)
-    else:
-        seed = [a for a in ctx.validated if a not in session.validated]
-        if seed and not session.is_complete:
+        else:
             session.assure(seed)
+    if group.truth is not None:
+        session.run(_RecordingOracle(group.truth, questions), max_rounds=ctx.max_rounds)
     provenance = session.provenance
     events = tuple(audit.events)
-    return GroupOutcome(
+    outcome = GroupOutcome(
         members=group.members,
         values=session.current_values(),
         complete=session.is_complete,
@@ -304,6 +466,16 @@ def _resolve_group_inner(
         conflicts=len(session.conflicts),
         audit_events=events,
     )
+    leaf = _Leaf.of(outcome)
+    path: tuple = ()
+    try:
+        for attrs in questions:
+            transcripts.put(path, attrs)
+            path += (_answer(attrs, answers),)
+        transcripts.put(path, leaf)
+    except TypeError:  # an unhashable answer: nothing to share
+        pass
+    return outcome
 
 
 def _run_shard(
@@ -313,6 +485,7 @@ def _run_shard(
     cache: LRUCache,
     memo: LRUCache,
     chase_memo: LRUCache,
+    transcripts: LRUCache,
 ) -> ShardResult:
     """Resolve every group of one shard behind a cached manager.
 
@@ -324,6 +497,9 @@ def _run_shard(
     the engine configuration — constant across one batch run — so
     sharing it across shards reorders when inference work happens but
     never what any group observes (the bit-identity guarantee holds).
+    ``transcripts`` is the run's session-transcript memo, shared on the
+    same argument one level up: a whole session is a deterministic
+    function of its answer path.
     """
     manager = CachedMasterDataManager(base.store, cache)
     evictions_before = cache.stats.evictions
@@ -331,21 +507,28 @@ def _run_shard(
     start = time.perf_counter()
     # Pool threads (and process workers) have no ambient span; the
     # carrier in the context re-parents this shard under the clean-run.
+    outcomes = []
+    hits = 0
     with trace.activate(ctx.trace):
         with trace.span("shard", shard=shard.shard_id, groups=len(shard.groups)):
-            outcomes = tuple(
-                _resolve_group(g, ctx, manager, memo, chase_memo) for g in shard.groups
-            )
+            for group in shard.groups:
+                outcome, hit = _resolve_group(
+                    group, ctx, manager, memo, chase_memo, transcripts
+                )
+                outcomes.append(outcome)
+                hits += hit
     memo_after = memo.stats
     return ShardResult(
         shard_id=shard.shard_id,
-        outcomes=outcomes,
+        outcomes=tuple(outcomes),
         elapsed_seconds=time.perf_counter() - start,
         cache_hits=manager.hits,
         cache_misses=manager.misses,
         cache_evictions=cache.stats.evictions - evictions_before,
         memo_hits=memo_after.hits - memo_before.hits,
         memo_misses=memo_after.misses - memo_before.misses,
+        transcript_hits=hits,
+        transcript_misses=len(outcomes) - hits,
     )
 
 
@@ -354,7 +537,8 @@ def _run_shard(
 # and parked in a module global; shard tasks then only carry the shard.
 
 _PROCESS_CTX: BatchContext | None = None
-#: The worker's probe cache, suggestion memo and chase-transcript memo.
+#: The worker's probe cache, suggestion memo, chase-transcript memo and
+#: session-transcript memo.
 _PROCESS_CACHES: tuple[LRUCache, ...] = ()
 
 
@@ -365,7 +549,7 @@ def _init_process(ctx: BatchContext) -> None:
     # ships the exporter config so worker spans reach the same file.
     if ctx.trace is not None and ctx.trace.path:
         trace.configure(ctx.trace.path, ctx.trace.sample)
-    _PROCESS_CACHES = tuple(LRUCache(ctx.cache_size) for _ in range(3))
+    _PROCESS_CACHES = tuple(LRUCache(ctx.cache_size) for _ in range(4))
     # Store-specific warm-up: the single store rebuilds its (pickle-
     # stripped) indexes eagerly; the sharded store stays lazy so this
     # worker only materialises the shards its probes actually route to.
@@ -398,11 +582,13 @@ class ShardExecutor:
         self.backend = backend
         #: The serial/thread paths share one probe cache (a preloaded one,
         #: see :func:`repro.batch.cache.load_probe_cache`, is used as-is),
-        #: one suggestion memo (see :func:`_run_shard`) and one chase-
-        #: transcript memo (see :func:`repro.core.chase.chase_memoized`).
+        #: one suggestion memo (see :func:`_run_shard`), one chase-
+        #: transcript memo (see :func:`repro.core.chase.chase_memoized`)
+        #: and one session-transcript memo (see :func:`_resolve_group`).
         self.cache = cache if cache is not None else LRUCache(ctx.cache_size)
         self.memo = LRUCache(ctx.cache_size)
         self.chase_memo = LRUCache(ctx.cache_size)
+        self.transcripts = LRUCache(ctx.cache_size)
 
     def run(
         self,
@@ -423,7 +609,7 @@ class ShardExecutor:
             for shard in shards:
                 result = _run_shard(
                     shard, self.ctx, self.ctx.master, self.cache, self.memo,
-                    self.chase_memo,
+                    self.chase_memo, self.transcripts,
                 )
                 if on_result is not None:
                     on_result(result)
@@ -433,7 +619,7 @@ class ShardExecutor:
             pool = ThreadPoolExecutor(max_workers=self.workers)
             submit = lambda shard: pool.submit(  # noqa: E731
                 _run_shard, shard, self.ctx, self.ctx.master, self.cache, self.memo,
-                self.chase_memo,
+                self.chase_memo, self.transcripts,
             )
         else:
             pool = ProcessPoolExecutor(

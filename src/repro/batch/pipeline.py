@@ -4,9 +4,11 @@
 :meth:`CerFix.clean_relation`: it fingerprints and deduplicates the
 dirty relation (:mod:`repro.batch.planner`), resumes any checkpointed
 shards (:mod:`repro.batch.journal`), runs the rest under the selected
-backend (:mod:`repro.batch.executor`), then assembles the repaired
-relation, replays per-cell provenance into the engine's audit log, and
-aggregates a :class:`~repro.batch.report.BatchReport`.
+backend (:mod:`repro.batch.executor`, where each distinct session
+transcript runs once), then assembles the repaired relation, appends
+per-cell provenance to the engine's audit log as one segment per group
+(:meth:`~repro.audit.log.AuditLog.record_group`), and aggregates a
+:class:`~repro.batch.report.BatchReport`.
 
 Scheduling never influences output: groups are independent and probing
 is deterministic, so ``workers=4`` (threads or processes) produces the
@@ -31,6 +33,7 @@ from repro.batch.planner import build_plan, transcript_projection
 from repro.batch.report import BatchReport, build_report
 from repro.cache import CacheStats
 from repro.core.certainty import CertaintyMode, Scenario
+from repro.core.chase import same_value
 from repro.core.region import RankedRegion
 from repro.core.ruleset import RuleSet
 from repro.master.manager import MasterDataManager
@@ -304,6 +307,11 @@ class BatchCleaner:
         else:
             evictions = executor.cache.stats.evictions
             memo = executor.memo.stats
+        # Transcript-memo counts are per group on every backend.
+        transcripts = CacheStats(
+            hits=sum(r.transcript_hits for r in fresh),
+            misses=sum(r.transcript_misses for r in fresh),
+        )
         report = build_report(
             results,
             tuples=plan.total_tuples,
@@ -318,7 +326,7 @@ class BatchCleaner:
         # the old values member by member); the per-group aggregate
         # would over- or under-count payload-column changes.
         report.changed_cells = changed_cells
-        self._publish_metrics(executor, results, evictions, memo)
+        self._publish_metrics(executor, results, evictions, memo, transcripts)
         if cache_stamp is not None:
             saved = save_probe_cache(executor.cache, cache_path, **cache_stamp)
             persistence += f"; saved {saved} entries"
@@ -333,11 +341,15 @@ class BatchCleaner:
         results: Sequence[ShardResult],
         evictions: int,
         memo: CacheStats,
+        transcripts: CacheStats,
     ) -> None:
         """Fold this run's totals into the process-wide registry — the
         live numbers behind the explorers' ``/api/metrics`` probe-cache
-        and suggestion-memo sections (exact under every backend: see
-        :meth:`clean` for where ``evictions`` and ``memo`` come from)."""
+        and suggestion-memo sections, plus the transcript-memo counters
+        (exact under every backend: see :meth:`clean` for where
+        ``evictions``, ``memo`` and ``transcripts`` come from). A
+        transcript-memo hit is a group replayed from the memo, a miss a
+        group that ran a real session."""
         reg = get_registry()
         reg.inc("cerfix.batch.runs")
         reg.inc("cerfix.batch.tuples", sum(r.tuples for r in results))
@@ -351,6 +363,10 @@ class BatchCleaner:
         reg.inc("cerfix.suggestion_memo.misses", memo.misses)
         reg.set_gauge("cerfix.suggestion_memo.size", len(executor.memo))
         reg.set_gauge("cerfix.suggestion_memo.maxsize", executor.memo.maxsize)
+        reg.inc("cerfix.transcript_memo.hits", transcripts.hits)
+        reg.inc("cerfix.transcript_memo.misses", transcripts.misses)
+        reg.set_gauge("cerfix.transcript_memo.size", len(executor.transcripts))
+        reg.set_gauge("cerfix.transcript_memo.maxsize", executor.transcripts.maxsize)
 
     def _context_key(
         self,
@@ -440,38 +456,46 @@ class BatchCleaner:
 
         Each duplicate member genuinely received the group's repair, so
         each gets its own audit trail (ids follow the stream convention:
-        ``t<row>`` unless ``tuple_ids`` overrides). Under a projection,
-        a user validation of a payload attribute replays with *this
-        member's* input value as ``old`` — that is what a serial monitor
-        session on the member would have recorded."""
+        ``t<row>`` unless ``tuple_ids`` overrides), stored as one
+        :meth:`~repro.audit.log.AuditLog.record_group` segment per
+        group. Under a projection, a user validation of a payload
+        attribute replays with *this member's* input value as ``old`` —
+        that is what a serial monitor session on the member would have
+        recorded — and only those values are kept per member."""
         changed = 0
         names = self.ruleset.input_schema.names
         position = {n: i for i, n in enumerate(names)}
         raw = dirty.raw_tuples() if projection is not None else None
         for result in results:
             for outcome in result.outcomes:
-                for member in outcome.members:
-                    tid = tuple_ids[member] if tuple_ids is not None else f"t{member}"
-                    for e in outcome.audit_events:
-                        old = e["old"]
-                        if projection is not None and e["attr"] not in projection:
-                            old = raw[member][position[e["attr"]]]
+                events = outcome.audit_events
+                members = outcome.members
+                if not events:
+                    continue
+                tids = (
+                    [tuple_ids[m] for m in members]
+                    if tuple_ids is not None
+                    else [f"t{m}" for m in members]
+                )
+                # ``changed_cells`` counts the representative's events;
+                # payload events are recounted member by member.
+                changed += outcome.changed_cells * len(members)
+                olds = {}
+                payload = (
+                    [] if projection is None
+                    else [j for j, e in enumerate(events) if e["attr"] not in projection]
+                )
+                for j in payload:
+                    e = events[j]
+                    at = position[e["attr"]]
+                    changed -= (e["old"] != e["new"]) * len(members)
+                    for i, member in enumerate(members):
+                        old = raw[member][at]
                         if old != e["new"]:
                             changed += 1
-                        self.audit.record(
-                            tid,
-                            e["attr"],
-                            old,
-                            e["new"],
-                            e["source"],
-                            rule_id=e["rule_id"],
-                            master_positions=tuple(e["master_positions"]),
-                            round_no=e["round_no"],
-                            # Worker-recorded span ids: provenance points
-                            # at the group-chase that produced the fix.
-                            trace_id=e.get("trace_id"),
-                            span_id=e.get("span_id"),
-                        )
+                        if not same_value(old, e["old"]):
+                            olds[i, j] = old
+                self.audit.record_group(tids, events, olds)
         return changed
 
 

@@ -171,10 +171,6 @@ class ChaseResult:
     def unvalidated(self) -> frozenset[str]:
         return self.all_attrs - self.validated
 
-    @property
-    def fixed_attrs(self) -> tuple[str, ...]:
-        return tuple(s.attr for s in self.steps)
-
 
 def chase(
     values: Mapping[str, Any],
@@ -376,19 +372,29 @@ def _chase_memo_key(
     return key
 
 
+def same_value(a: Any, b: Any) -> bool:
+    """Memo-key equality: equal values *of one type*. ``1``, ``1.0`` and
+    ``True`` compare equal but are different cells, so a memoised
+    transcript may stand in for another state's only where this holds."""
+    return a is b or (a.__class__ is b.__class__ and a == b)
+
+
 def _rebind_chase(template: ChaseResult, values: Mapping[str, Any]) -> ChaseResult:
     """Replay a memoised transcript onto ``values``.
 
     Steps keep their (attr, new, rule, provenance) — only ``old`` is
-    re-read from the replay state. Conflicts and ambiguities carry
-    validated values exclusively, so they transfer verbatim.
+    re-read from the replay state (a template step is reused only where
+    :func:`same_value` holds). Conflicts and ambiguities carry validated
+    values exclusively, so they transfer verbatim.
     """
     state = {name: values[name] for name in template.values}
     steps = []
     for s in template.steps:
         old = state[s.attr]
         steps.append(
-            FixStep(
+            s
+            if same_value(old, s.old)
+            else FixStep(
                 attr=s.attr,
                 old=old,
                 new=s.new,
@@ -396,8 +402,6 @@ def _rebind_chase(template: ChaseResult, values: Mapping[str, Any]) -> ChaseResu
                 master_positions=s.master_positions,
                 normalized=s.normalized,
             )
-            if old != s.old
-            else s
         )
         state[s.attr] = s.new
     return ChaseResult(

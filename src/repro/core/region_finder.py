@@ -107,11 +107,6 @@ def harvest_safe_combos(
 # --------------------------------------------------------------------------
 
 
-def _coverage(cond: Condition, universe: Sequence[Any]) -> frozenset[int]:
-    """Indices of ``universe`` values matched by ``cond``."""
-    return frozenset(i for i, v in enumerate(universe) if cond.matches(v))
-
-
 def _condition_for(values: frozenset[int], universe: Sequence[Any]) -> Condition | None:
     """The single condition matching exactly ``values`` ⊆ universe, if one
     exists in the Eq / NotIn / wildcard language; ``None`` otherwise."""

@@ -436,9 +436,6 @@ class _SpecPartition:
     def built_shards(self) -> int:
         return sum(1 for i in self._indexes if i is not None)
 
-    def rows_by_shard(self) -> list[int]:
-        return [len(b) for b in self._buckets]
-
     def duplicate_keys(self) -> dict[tuple, list[int]]:
         out: dict[tuple, list[int]] = {}
         for shard_id in range(self.n_shards):

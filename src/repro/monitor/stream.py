@@ -38,10 +38,6 @@ class TupleOutcome:
     changed_cells: int
     conflicts: int
 
-    @property
-    def total_validated(self) -> int:
-        return self.user_cells + self.rule_cells
-
 
 @dataclass
 class StreamReport:

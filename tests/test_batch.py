@@ -225,27 +225,35 @@ def test_tiny_cache_reports_evictions(uk_batch, workers, backend):
 
 
 def test_suggestion_memo_counts_agree_across_backends():
-    """Every backend publishes the same number of suggestion-memo
-    lookups for one input. Process workers hold private memos, so their
-    counts must come back on the shard results."""
+    """Every backend publishes the same memo counts for the same work.
+    Process workers hold private memos, so their counts must come back
+    on the shard results. One shard gives every backend the same work:
+    with the run-wide transcript memo, how many real sessions run (and
+    so how many suggestions are looked up) depends on how groups are
+    dealt to memos."""
     master = uk.generate_master(20, seed=1)
     wl = uk.generate_workload(master, 400, seed=2)
     engine = CerFix(uk.paper_ruleset(), master)
     registry = get_registry()
-    lookups = {}
+    names = (
+        "cerfix.suggestion_memo.hits", "cerfix.suggestion_memo.misses",
+        "cerfix.transcript_memo.hits", "cerfix.transcript_memo.misses",
+    )
+    counts = {}
     for workers, backend in ((1, "thread"), (2, "thread"), (2, "process")):
-        before = registry.counter_value("cerfix.suggestion_memo.hits") + registry.counter_value(
-            "cerfix.suggestion_memo.misses"
+        before = [registry.counter_value(n) for n in names]
+        result = engine.clean_relation(
+            wl.dirty, wl.clean, workers=workers, backend=backend, shards=1
         )
-        result = engine.clean_relation(wl.dirty, wl.clean, workers=workers, backend=backend)
         assert result.report.backend == backend
-        lookups[workers, backend] = (
-            registry.counter_value("cerfix.suggestion_memo.hits")
-            + registry.counter_value("cerfix.suggestion_memo.misses")
-            - before
+        memo_hits, memo_misses, hits, misses = (
+            registry.counter_value(n) - b for n, b in zip(names, before)
         )
-    assert lookups[1, "thread"] > 0
-    assert lookups[1, "thread"] == lookups[2, "thread"] == lookups[2, "process"]
+        counts[workers, backend] = (memo_hits + memo_misses, hits, misses)
+        assert hits + misses == result.report.groups
+    lookups, hits, misses = counts[1, "thread"]
+    assert lookups > 0 and hits > 0 and misses > 0
+    assert counts[1, "thread"] == counts[2, "thread"] == counts[2, "process"]
 
 
 def test_duplicate_signatures_mean_cache_hits_and_dedup(uk_batch):

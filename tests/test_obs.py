@@ -491,6 +491,12 @@ def _strip_stamps(events: list[dict]) -> list[dict]:
     ]
 
 
+def _group_chases(path) -> dict[str, dict]:
+    """span id -> record of every exported group-chase span."""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    return {r["span"]: r for r in records if r["name"] == "group-chase"}
+
+
 class TestTracingIsPure:
     def test_traced_clean_is_bit_identical(self, tmp_path):
         case = generate_case(11, master_size=20, n=12)
@@ -506,10 +512,39 @@ class TestTracingIsPure:
         assert traced.fixed_rows == plain.fixed_rows
         assert traced.report == plain.report
         assert _strip_stamps(traced.audit_events) == _strip_stamps(plain.audit_events)
-        # ... and the traced run's provenance actually points somewhere.
+        # ... and the traced run's provenance actually points somewhere:
+        # at a group-chase span of the exported trace.
         stamped = [e for e in traced.audit_events if e.get("trace_id")]
         assert stamped
         assert {e["trace_id"] for e in stamped} == {stamped[0]["trace_id"]}
+        chases = _group_chases(tmp_path / "t.jsonl")
+        assert all(e["span_id"] in chases for e in stamped)
+
+    def test_replayed_groups_point_at_their_own_spans(self, tmp_path):
+        """A group replayed from the transcript memo stamps its events
+        with *its own* group-chase span, not the span of the group that
+        first produced the transcript."""
+        master = uk.generate_master(6, seed=3)
+        wl = uk.generate_workload(master, 120, rate=0.3, seed=4)
+        engine = CerFix(uk.paper_ruleset(), master)
+        trace.configure(tmp_path / "t.jsonl")
+        try:
+            engine.clean_relation(wl.dirty, wl.clean)
+        finally:
+            trace.disable()
+        chases = _group_chases(tmp_path / "t.jsonl")
+        assert {s["attrs"]["transcript"] for s in chases.values()} == {"hit", "miss"}
+        spans_by_transcript: dict[tuple, set] = {}
+        for tid in engine.audit.tuple_ids():
+            events = engine.audit.by_tuple(tid)
+            assert all(e.span_id in chases for e in events)
+            assert len({e.span_id for e in events}) == 1
+            transcript = tuple((e.attr, e.source, e.rule_id, e.new, e.round_no) for e in events)
+            spans_by_transcript.setdefault(transcript, set()).add(events[0].span_id)
+        # Groups sharing a transcript point at different spans.
+        groups_per_transcript = [len(spans) for spans in spans_by_transcript.values()]
+        assert max(groups_per_transcript) > 1
+        assert sum(groups_per_transcript) == len(chases)
 
     def test_audit_stamps_omitted_when_disabled(self, tmp_path):
         case = generate_case(11, master_size=20, n=12)
