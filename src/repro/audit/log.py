@@ -4,7 +4,7 @@ Events arrive two ways. Monitor and service sessions :meth:`record`
 one :class:`ChangeEvent` at a time. Batch replay appends one
 *segment* per resolved group (:meth:`AuditLog.record_group`): the
 member tuple ids, the group's shared event template and per-member
-``old`` overrides only where a projection makes them differ. A
+``old`` overrides only where a member's input value differs. A
 duplicate-heavy batch run thus stores one transcript per group instead
 of one event object per member and cell — the certain-fix registry,
 stored compactly. Segment events are materialised lazily, with the
@@ -88,8 +88,10 @@ class AuditLog:
     def __init__(self):
         #: Single events and group segments, in sequence order.
         self._entries: list[ChangeEvent | _Segment] = []
-        #: tuple id -> its events and (segment, member index) refs.
+        #: tuple id -> its events and (segment, member index) refs, for
+        #: the first ``_indexed`` entries (built on first query).
         self._by_tuple: dict[str, list] = {}
+        self._indexed = 0
         self._len = 0
         self._lock = threading.Lock()
 
@@ -103,16 +105,22 @@ class AuditLog:
             self._append(entry)
 
     def _append(self, entry: ChangeEvent | _Segment) -> None:
-        """Append one entry and index it (caller holds the lock)."""
+        """Append one entry (caller holds the lock)."""
         self._entries.append(entry)
-        if isinstance(entry, ChangeEvent):
-            self._by_tuple.setdefault(entry.tuple_id, []).append(entry)
-            self._len += 1
-            return
+        self._len += 1 if isinstance(entry, ChangeEvent) else entry.size
+
+    def _index(self) -> dict[str, list]:
+        """The per-tuple index, caught up with every entry (caller holds
+        the lock). A log nobody queries by tuple never builds it."""
         index = self._by_tuple
-        for i, tuple_id in enumerate(entry.tuple_ids):
-            index.setdefault(tuple_id, []).append((entry, i))
-        self._len += entry.size
+        for entry in self._entries[self._indexed:]:
+            if isinstance(entry, ChangeEvent):
+                index.setdefault(entry.tuple_id, []).append(entry)
+                continue
+            for i, tuple_id in enumerate(entry.tuple_ids):
+                index.setdefault(tuple_id, []).append((entry, i))
+        self._indexed = len(self._entries)
+        return index
 
     def record(
         self,
@@ -200,12 +208,12 @@ class AuditLog:
     def by_tuple(self, tuple_id: str) -> list[ChangeEvent]:
         """All events for one tuple, in order — the demo's per-tuple trace.
 
-        Served from a per-tuple index of events and segment members
-        maintained on append, so the monitoring stream's per-row trace
-        (and the DB cleaner's per-row provenance) stays O(events for
-        that tuple) instead of O(all events)."""
+        Served from a per-tuple index of events and segment members,
+        caught up with new entries on each query, so the monitoring
+        stream's per-row trace (and the DB cleaner's per-row provenance)
+        stays O(events for that tuple) instead of O(all events)."""
         with self._lock:
-            refs = list(self._by_tuple.get(tuple_id, ()))
+            refs = list(self._index().get(tuple_id, ()))
         out: list[ChangeEvent] = []
         for ref in refs:
             if isinstance(ref, ChangeEvent):
@@ -220,9 +228,9 @@ class AuditLog:
 
     def stats(self) -> dict:
         """Registry-source summary (see :mod:`repro.obs.metrics`);
-        materialises nothing."""
+        materialises no events."""
         with self._lock:
-            return {"events": self._len, "tuples": len(self._by_tuple)}
+            return {"events": self._len, "tuples": len(self._index())}
 
     def tuple_ids(self) -> list[str]:
         """Distinct tuple ids, in first-seen order."""

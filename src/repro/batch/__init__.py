@@ -4,8 +4,8 @@ whole-relation cleaning.
 CerFix's monitor cleans one tuple at the point of entry; this package
 scales the same certain-fix machinery to whole relations:
 
-- :mod:`~repro.batch.planner` — fingerprint tuples, collapse duplicate
-  repair signatures, deal groups into shards;
+- :mod:`~repro.batch.planner` — group rows on their answer key (the
+  inputs a repair transcript is a function of), deal groups into shards;
 - :mod:`~repro.batch.cache` — the batch names of the probe cache and
   cached manager, and probe-cache persistence across runs;
 - :mod:`~repro.batch.executor` — serial / thread / process shard
@@ -24,7 +24,7 @@ from repro.batch.executor import BatchContext, GroupOutcome, ShardExecutor, Shar
 from repro.batch.cache import CachingMasterDataManager, ProbeCache
 from repro.batch.journal import CheckpointJournal
 from repro.batch.pipeline import BatchCleaner, BatchResult
-from repro.batch.planner import PlanGroup, RepairPlan, Shard, build_plan, repair_signature
+from repro.batch.planner import PlanGroup, RepairPlan, Shard, build_plan
 from repro.batch.report import BatchReport, ShardStats, build_report
 from repro.cache import CacheStats
 
@@ -46,5 +46,4 @@ __all__ = [
     "ShardStats",
     "build_plan",
     "build_report",
-    "repair_signature",
 ]

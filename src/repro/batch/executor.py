@@ -6,16 +6,22 @@ result of a group depends only on the group and the engine
 configuration, never on scheduling. That is what makes the parallel
 backends *bit-identical* to the serial path.
 
+A group's outcome is a *transcript*: the audit events, the statistics
+and which cells end at which values, with each attribute's first
+``old`` taken from the representative's row. The pipeline binds it onto
+every member (:class:`repro.batch.pipeline.BatchCleaner`).
+
 Groups are resolved through a **session-transcript memo**. Every
 session decision reads validated values only, so a session is fixed by
 the answers it is given: the seed answer (``ctx.validated``), then the
 oracle's answer to each suggestion (``truth[suggestion.attrs]``). The
 memo is a trie keyed by that path of typed answers — an inner node
 holds the attributes the next question asks for, a leaf holds the
-outcome template. A group whose path ends at a leaf only rebinds each
-event's ``old`` from its own input values; a group that falls off the
-trie runs one real :class:`~repro.monitor.session.MonitorSession` and
-inserts its path.
+outcome. A group whose path ends at a leaf takes that outcome as its
+own; a group that falls off the trie runs one real
+:class:`~repro.monitor.session.MonitorSession` and inserts its path.
+The planner already gives every distinct answer key one group, so the
+memo only hits where two keys differ in answers no question asks for.
 
 A run holds four :class:`~repro.cache.LRUCache` instances (probe
 cache, suggestion memo, chase-transcript memo, session-transcript
@@ -44,14 +50,13 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
 from repro.errors import CerFixError
 from repro.batch.planner import PlanGroup, Shard
 from repro.cache import LRUCache
 from repro.core.certainty import CertaintyMode, Scenario
-from repro.core.chase import same_value
 from repro.core.region import RankedRegion
 from repro.core.ruleset import RuleSet
 from repro.master.manager import MasterDataManager
@@ -100,10 +105,15 @@ class BatchContext:
 
 @dataclass(frozen=True)
 class GroupOutcome:
-    """One resolved group: the repaired values plus per-tuple statistics."""
+    """One resolved group: its transcript plus per-tuple statistics.
+
+    ``audit_events`` fix every touched cell (its last ``new``); cells
+    without an event keep each member's input value. ``changed_cells``
+    counts the events whose ``old`` differs from their ``new``, as
+    recorded; the pipeline recounts it per member.
+    """
 
     members: tuple[int, ...]
-    values: dict[str, Any]  # repaired values, shared by every member
     complete: bool
     rounds: int
     user_cells: int
@@ -116,7 +126,6 @@ class GroupOutcome:
     def to_json(self) -> dict:
         return {
             "members": list(self.members),
-            "values": self.values,
             "complete": self.complete,
             "rounds": self.rounds,
             "user_cells": self.user_cells,
@@ -135,7 +144,6 @@ class GroupOutcome:
         )
         return cls(
             members=tuple(obj["members"]),
-            values=dict(obj["values"]),
             complete=obj["complete"],
             rounds=obj["rounds"],
             user_cells=obj["user_cells"],
@@ -270,59 +278,6 @@ class _RecordingOracle(OracleUser):
         return super().respond(suggestion, session)
 
 
-@dataclass(frozen=True)
-class _Leaf:
-    """A memoised session outcome: the event template (no trace stamps)
-    and everything the answer path alone determines.
-
-    Only an attribute's *first* event reads the group's input value as
-    its ``old``; every later ``old`` is an earlier event's ``new``.
-    ``inputs`` lists those first events as (index, attr, old, new),
-    ``changed`` counts the changed cells among the rest, and ``final``
-    maps every touched attribute to its last ``new``.
-    """
-
-    events: tuple[dict, ...]
-    inputs: tuple[tuple[int, str, Any, Any], ...]
-    changed: int
-    final: dict[str, Any]
-    complete: bool
-    rounds: int
-    user_cells: int
-    rule_cells: int
-    normalized_cells: int
-    conflicts: int
-
-    @classmethod
-    def of(cls, outcome: "GroupOutcome") -> "_Leaf":
-        events = tuple(
-            e if "trace_id" not in e
-            else {k: v for k, v in e.items() if k not in ("trace_id", "span_id")}
-            for e in outcome.audit_events
-        )
-        inputs = []
-        changed = 0
-        final: dict[str, Any] = {}
-        for j, e in enumerate(events):
-            if e["attr"] in final:
-                changed += e["old"] != e["new"]
-            else:
-                inputs.append((j, e["attr"], e["old"], e["new"]))
-            final[e["attr"]] = e["new"]
-        return cls(
-            events=events,
-            inputs=tuple(inputs),
-            changed=changed,
-            final=final,
-            complete=outcome.complete,
-            rounds=outcome.rounds,
-            user_cells=outcome.user_cells,
-            rule_cells=outcome.rule_cells,
-            normalized_cells=outcome.normalized_cells,
-            conflicts=outcome.conflicts,
-        )
-
-
 def _answer(attrs: Sequence[str], answers: dict) -> tuple:
     """One edge of the memo: the typed answers to a question, flattened
     to (attr, type, value, attr, type, value, ...). Types are part of
@@ -364,16 +319,9 @@ def _resolve_group(
 
 
 def _replay(group: PlanGroup, answers: dict, transcripts: LRUCache) -> GroupOutcome | None:
-    """Walk the memo along this group's answers; None unless the walk
-    ends at a leaf.
-
-    A hit rebinds each attribute's first ``old`` from the group's own
-    input values, the way :func:`repro.core.chase._rebind_chase` does
-    for one chase; everything else in the template is fixed by the
-    (typed) answer path. Events whose ``old`` does not change are
-    shared with the template, so the audit segments of a thousand
-    groups on one transcript hold one set of event dicts.
-    """
+    """Walk the memo along this group's answers; the memoised outcome,
+    stamped with this group's members and span, or None unless the walk
+    ends at a leaf."""
     peek = transcripts.peek
     path: tuple = ()
     try:
@@ -385,34 +333,11 @@ def _replay(group: PlanGroup, answers: dict, transcripts: LRUCache) -> GroupOutc
         return None
     if node is None:
         return None
-    values = group.values
-    events = node.events
-    changed = node.changed
-    for j, attr, t_old, t_new in node.inputs:
-        old = values[attr]
-        if old != t_new:
-            changed += 1
-        if old is not t_old and not same_value(old, t_old):
-            if events is node.events:
-                events = list(events)
-            events[j] = {**events[j], "old": old}
+    events = node.audit_events
     trace_id, span_id = trace.current_ids()
     if trace_id is not None:
-        events = [{**e, "trace_id": trace_id, "span_id": span_id} for e in events]
-    state = dict(values)
-    state.update(node.final)
-    return GroupOutcome(
-        members=group.members,
-        values=state,
-        complete=node.complete,
-        rounds=node.rounds,
-        user_cells=node.user_cells,
-        rule_cells=node.rule_cells,
-        normalized_cells=node.normalized_cells,
-        changed_cells=changed,
-        conflicts=node.conflicts,
-        audit_events=tuple(events),
-    )
+        events = tuple({**e, "trace_id": trace_id, "span_id": span_id} for e in events)
+    return replace(node, members=group.members, audit_events=events)
 
 
 def _run_session(
@@ -456,7 +381,6 @@ def _run_session(
     events = tuple(audit.events)
     outcome = GroupOutcome(
         members=group.members,
-        values=session.current_values(),
         complete=session.is_complete,
         rounds=session.round_no,
         user_cells=sum(1 for s in provenance.values() if s == "user"),
@@ -466,7 +390,17 @@ def _run_session(
         conflicts=len(session.conflicts),
         audit_events=events,
     )
-    leaf = _Leaf.of(outcome)
+    # The leaf keeps no members and no trace stamps: both belong to
+    # whichever group replays it.
+    leaf = replace(
+        outcome,
+        members=(),
+        audit_events=tuple(
+            {k: v for k, v in e.items() if k not in ("trace_id", "span_id")}
+            if "trace_id" in e else e
+            for e in events
+        ),
+    )
     path: tuple = ()
     try:
         for attrs in questions:

@@ -1,14 +1,21 @@
-"""The batch cleaning pipeline: plan → execute → assemble.
+"""The batch cleaning pipeline: plan → execute → bind.
 
 :class:`BatchCleaner` is the orchestrator behind
-:meth:`CerFix.clean_relation`: it fingerprints and deduplicates the
-dirty relation (:mod:`repro.batch.planner`), resumes any checkpointed
-shards (:mod:`repro.batch.journal`), runs the rest under the selected
-backend (:mod:`repro.batch.executor`, where each distinct session
-transcript runs once), then assembles the repaired relation, appends
-per-cell provenance to the engine's audit log as one segment per group
-(:meth:`~repro.audit.log.AuditLog.record_group`), and aggregates a
-:class:`~repro.batch.report.BatchReport`.
+:meth:`CerFix.clean_relation`: it groups the dirty relation on answer
+keys (:mod:`repro.batch.planner`), resumes any checkpointed shards
+(:mod:`repro.batch.journal`), runs the rest under the selected backend
+(:mod:`repro.batch.executor`, which resolves each group to one repair
+transcript), then binds every group's transcript onto its members.
+
+Binding is one pass per column over the plan's row → group index. A
+cell the transcript touched ends at the group's final value; any other
+cell keeps the member's own input value; the ``old`` of each
+attribute's first audit event is rebound to the member's own value
+wherever it differs from the transcript's, and changed cells are
+recounted member by member. Provenance lands in the engine's audit log
+as one segment per group, in first-seen order
+(:meth:`~repro.audit.log.AuditLog.record_group`), and a
+:class:`~repro.batch.report.BatchReport` aggregates the run.
 
 Scheduling never influences output: groups are independent and probing
 is deterministic, so ``workers=4`` (threads or processes) produces the
@@ -21,15 +28,17 @@ from __future__ import annotations
 import pickle
 import time
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import ne
 from pathlib import Path
 from typing import Sequence
 
 from repro.errors import CerFixError
 from repro.audit.log import AuditLog
 from repro.batch.cache import load_probe_cache, save_probe_cache
-from repro.batch.executor import BatchContext, ShardExecutor, ShardResult
+from repro.batch.executor import BatchContext, GroupOutcome, ShardExecutor, ShardResult
 from repro.batch.journal import CheckpointJournal
-from repro.batch.planner import build_plan, transcript_projection
+from repro.batch.planner import RepairPlan, build_plan
 from repro.batch.report import BatchReport, build_report
 from repro.cache import CacheStats
 from repro.core.certainty import CertaintyMode, Scenario
@@ -41,7 +50,7 @@ from repro.master.store import MasterStore, resolve_master
 from repro.monitor.suggest import SuggestionStrategy
 from repro.obs import trace
 from repro.obs.metrics import get_registry
-from repro.relational.relation import Relation
+from repro.relational.relation import ColumnDict, Relation
 
 
 @dataclass
@@ -205,27 +214,18 @@ class BatchCleaner:
         notes: list[str] = []
 
         n_shards = shards if shards is not None else max(1, workers) * 4
-        # Dedup on transcript-relevant attributes only: payload columns
-        # no rule or region ever looks at cannot change a repair, so
-        # rows differing only there share one group. Assembly and audit
-        # replay restore each member's own payload values below.
-        projection = transcript_projection(
-            self.ruleset, regions=self.regions, validated=validated
-        )
-        if projection >= frozenset(self.ruleset.input_schema.names):
-            projection = None
         with trace.span("plan", rows=len(dirty), shards=n_shards):
             plan = build_plan(
                 dirty,
                 truth,
                 shards=n_shards,
                 dedupe=dedupe,
+                validated=validated,
                 # The master content digest is O(|master|); only the journal
                 # ever consumes the fingerprint, so only pay for it then.
                 context=self._context_key(
                     validated, max_rounds, include_master=journal_path is not None
                 ),
-                projection=projection,
             )
 
         # The scenario generator is only ever consulted under SCENARIO
@@ -293,8 +293,7 @@ class BatchCleaner:
             list(done.values()) + list(fresh), key=lambda r: r.shard_id
         )
 
-        relation = self._assemble(dirty, results, projection)
-        changed_cells = self._replay_audit(results, tuple_ids, dirty, projection)
+        relation, changed_cells = self._bind(dirty, plan, results, tuple_ids)
         # The serial/thread paths share the executor's caches (their
         # counters are exact there); process workers each hold private
         # caches, so their counts only exist as the fresh shards' deltas.
@@ -322,9 +321,8 @@ class BatchCleaner:
             evictions=evictions,
             notes=notes,
         )
-        # The replay count is per-member exact (projected groups patch
-        # the old values member by member); the per-group aggregate
-        # would over- or under-count payload-column changes.
+        # The bound count is exact per member; the per-group aggregate
+        # counts every member as if it had the representative's row.
         report.changed_cells = changed_cells
         self._publish_metrics(executor, results, evictions, memo, transcripts)
         if cache_stamp is not None:
@@ -397,106 +395,97 @@ class BatchCleaner:
             f"regions={len(self.regions)}",
         )
 
-    def _assemble(
+    def _bind(
         self,
         dirty: Relation,
-        results: Sequence[ShardResult],
-        projection: frozenset[str] | None = None,
-    ) -> Relation:
-        """Assemble the repaired relation from group outcomes.
-
-        Under a projection, a payload attribute (outside the projection)
-        that the transcript never touched kept its *input* value — which
-        differs per member — so those cells are restored from each
-        member's own dirty row rather than the representative's."""
-        schema = self.ruleset.input_schema
-        names = schema.names
-        rows: list[tuple | None] = [None] * len(dirty)
-        raw = dirty.raw_tuples() if projection is not None else None
-        for result in results:
-            for outcome in result.outcomes:
-                values = tuple(outcome.values[n] for n in names)
-                untouched = self._untouched_payload(outcome, projection)
-                if not untouched:
-                    for member in outcome.members:
-                        rows[member] = values
-                    continue
-                for member in outcome.members:
-                    member_row = raw[member]
-                    patched = list(values)
-                    for i in untouched:
-                        patched[i] = member_row[i]
-                    rows[member] = tuple(patched)
-        missing = [i for i, r in enumerate(rows) if r is None]
-        if missing:
-            raise CerFixError(f"batch results left rows {missing[:5]}... unassembled")
-        return Relation(schema, rows)
-
-    def _untouched_payload(self, outcome, projection: frozenset[str] | None) -> list[int]:
-        """Column positions outside the projection with no audit event —
-        cells the repair provably never read or wrote."""
-        if projection is None:
-            return []
-        touched = {e["attr"] for e in outcome.audit_events}
-        return [
-            i
-            for i, n in enumerate(self.ruleset.input_schema.names)
-            if n not in projection and n not in touched
-        ]
-
-    def _replay_audit(
-        self,
+        plan: RepairPlan,
         results: Sequence[ShardResult],
         tuple_ids: Sequence[str] | None,
-        dirty: Relation,
-        projection: frozenset[str] | None = None,
-    ) -> int:
-        """Replay per-cell provenance onto every member tuple; returns
-        the exact changed-cell count across all members.
+    ) -> tuple[Relation, int]:
+        """Bind every group's transcript onto its members, column by
+        column (see the module docstring); returns the repaired relation
+        and the exact changed-cell count over all members.
 
-        Each duplicate member genuinely received the group's repair, so
-        each gets its own audit trail (ids follow the stream convention:
-        ``t<row>`` unless ``tuple_ids`` overrides), stored as one
-        :meth:`~repro.audit.log.AuditLog.record_group` segment per
-        group. Under a projection, a user validation of a payload
-        attribute replays with *this member's* input value as ``old`` —
-        that is what a serial monitor session on the member would have
-        recorded — and only those values are kept per member."""
-        changed = 0
-        names = self.ruleset.input_schema.names
-        position = {n: i for i, n in enumerate(names)}
-        raw = dirty.raw_tuples() if projection is not None else None
+        Each member genuinely received its group's repair, so each gets
+        its own audit trail (ids follow the stream convention: ``t<row>``
+        unless ``tuple_ids`` overrides), stored as one segment per group
+        whose ``olds`` hold only the members' differing first ``old`` s.
+        """
+        row_group = plan.row_group
+        outcomes: list[GroupOutcome | None] = [None] * plan.n_groups
         for result in results:
             for outcome in result.outcomes:
-                events = outcome.audit_events
-                members = outcome.members
-                if not events:
+                outcomes[row_group[outcome.members[0]]] = outcome
+        if any(o is None for o in outcomes):
+            raise CerFixError("batch results left groups unresolved")
+        # Per group: each touched attribute's first event as
+        # (index, old, new), and its final value.
+        firsts: list[dict] = []
+        finals: list[dict] = []
+        for outcome in outcomes:
+            first: dict = {}
+            final: dict = {}
+            for j, e in enumerate(outcome.audit_events):
+                if e["attr"] not in first:
+                    first[e["attr"]] = (j, e["old"], e["new"])
+                final[e["attr"]] = e["new"]
+            firsts.append(first)
+            finals.append(final)
+        changed = sum(o.changed_cells * len(o.members) for o in outcomes)
+        olds: list[dict] = [{} for _ in outcomes]
+        slot = [0] * len(row_group)  # row -> its index among its group's members
+        for group in plan.groups:
+            for k, member in enumerate(group.members):
+                slot[member] = k
+        schema = self.ruleset.input_schema
+        dicts, cols = [], []
+        for name in schema.names:
+            d, ids = dirty.column_ids(name)
+            if all(name in f for f in finals):
+                # Every cell is a final value: a fresh dictionary holds
+                # only those, not the whole input column's.
+                out = ColumnDict()
+                fixed = [out.intern(f[name]) for f in finals]
+                cols.append(list(map(fixed.__getitem__, row_group)))
+            else:
+                out = d.copy()
+                fixed = [out.intern(f[name]) if name in f else None for f in finals]
+                cols.append([m if (f := fixed[g]) is None else f for g, m in zip(row_group, ids)])
+            dicts.append(out)
+            # Per group: the first event here and the id its ``old`` has in
+            # this column (-1: not interned here, None: no event here).
+            here = [f.get(name) for f in firsts]
+            if not any(here):
+                continue
+            want: list[int | None] = [None] * len(outcomes)
+            for g, first in enumerate(here):
+                if first is not None:
+                    vid = d.id_of(first[1])
+                    want[g] = -1 if vid is None else vid
+            values = d.values
+            for i in compress(count(), map(ne, map(want.__getitem__, row_group), ids)):
+                g = row_group[i]
+                if here[g] is None:
                     continue
-                tids = (
-                    [tuple_ids[m] for m in members]
-                    if tuple_ids is not None
-                    else [f"t{m}" for m in members]
-                )
-                # ``changed_cells`` counts the representative's events;
-                # payload events are recounted member by member.
-                changed += outcome.changed_cells * len(members)
-                olds = {}
-                payload = (
-                    [] if projection is None
-                    else [j for j, e in enumerate(events) if e["attr"] not in projection]
-                )
-                for j in payload:
-                    e = events[j]
-                    at = position[e["attr"]]
-                    changed -= (e["old"] != e["new"]) * len(members)
-                    for i, member in enumerate(members):
-                        old = raw[member][at]
-                        if old != e["new"]:
-                            changed += 1
-                        if not same_value(old, e["old"]):
-                            olds[i, j] = old
-                self.audit.record_group(tids, events, olds)
-        return changed
+                j, t_old, t_new = here[g]
+                old = values[ids[i]]
+                # Another id is another typed value, unless the old is
+                # not interned here (unhashable, or no row here holds it).
+                if want[g] < 0 and same_value(old, t_old):
+                    continue
+                olds[g][slot[i], j] = old
+                changed += (old != t_new) - (t_old != t_new)
+        for outcome, group_olds in zip(outcomes, olds):
+            if not outcome.audit_events:
+                continue
+            members = outcome.members
+            tids = (
+                [tuple_ids[m] for m in members]
+                if tuple_ids is not None
+                else [f"t{m}" for m in members]
+            )
+            self.audit.record_group(tids, outcome.audit_events, group_olds)
+        return Relation.from_columns(schema, dicts, cols, len(dirty)), changed
 
 
 def _picklable(obj: object) -> bool:

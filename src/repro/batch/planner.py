@@ -1,105 +1,55 @@
-"""The batch planner: fingerprint, deduplicate and shard a dirty relation.
+"""The batch planner: group a dirty relation on answer keys and shard it.
 
-Whole-relation workloads are repetitive: the same customer re-enters the
-same transaction, the same noise pattern corrupts the same clean tuple.
-The planner exploits this by fingerprinting every tuple with its *repair
-signature* — the value vector that determines the repair transcript —
-and grouping rows that share one. Each group is resolved once by a
-shard worker and the outcome is replayed onto every member row.
+A certain fix is decided by the values the user validates and by the
+master data, never by unvalidated dirty cells: the chase only reads
+validated attributes, suggestions treat unvalidated cells as unknown,
+and a conflict needs a validated target. So a row's whole repair
+transcript — which questions are asked, which rules fire, which cells
+end at which values — is a function of its **answer key**:
 
-The signature covers the dirty values of the *transcript-relevant*
-attributes plus (when ground truth drives an oracle user) the truth
-values of **all** attributes. Relevant means: read by some rule (its
-LHS or pattern), written by some rule (its target — the chase compares
-the prescribed value against the current one when checking conflicts),
-mentioned by a precomputed region's attributes or tableau, or seeded
-as trusted. A dirty value *outside* that set can influence exactly two
-things — the ``old`` field of the user-validation audit event and the
-final value when the cell is never validated — and the pipeline
-restores both per member row at assembly/replay time
-(:meth:`repro.batch.pipeline.BatchCleaner`), so two rows collapse into
-one group exactly when their repair is guaranteed identical. Pass
-``projection=None`` to fall back to whole-row signatures.
+* with ground truth (an oracle user answers every question), the
+  typed truth row;
+* rule-only (no truth), the typed dirty values of the trusted
+  ``validated`` columns.
+
+The planner groups rows on that key. Each group is resolved once by a
+shard worker; the pipeline then binds the outcome onto every member in
+one column pass (:class:`repro.batch.pipeline.BatchCleaner`): a cell
+the transcript never touched keeps the member's own value, and the
+``old`` of each attribute's first audit event is the member's own.
+
+"Typed" means keys compare the interned value ids of each column
+(:meth:`~repro.relational.relation.Relation.column_ids`), so ``1``,
+``1.0`` and ``True`` land in different groups, and an unhashable cell
+(interned under a fresh id) only ever groups with itself.
 
 Groups are dealt round-robin into :class:`Shard` s (deterministically,
 by first-seen order), so shard workloads stay balanced without
 inspecting group cost. The plan's ``fingerprint`` ties a checkpoint
-journal to the exact inputs and partitioning that produced it.
+journal to the exact inputs and partitioning that produced it; it is
+computed on first use, so a run without a journal never pays for it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from array import array
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Any, Sequence
 
-from repro.core.ruleset import RuleSet
 from repro.errors import CerFixError
 from repro.obs.metrics import get_registry
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema
-
-#: Sentinel replacing projected-out dirty values in a repair signature.
-_ELIDED = "\x00<elided>"
-
-
-def transcript_projection(
-    ruleset: RuleSet,
-    *,
-    regions: Sequence[Any] = (),
-    validated: Sequence[str] = (),
-) -> frozenset[str]:
-    """The attributes whose *dirty* values can influence a repair
-    transcript.
-
-    Everything a session's machinery reads from unvalidated state:
-    rule reads (LHS + pattern — gate rule firing), rule targets (the
-    chase's conflict check compares the prescribed value against the
-    current cell), region attributes and tableau patterns (region
-    compatibility checks), and the trusted seed columns. Suggestions
-    read only *validated* values (every strategy treats unvalidated
-    cells as unknown), so they add nothing beyond the above.
-    """
-    attrs: set[str] = set(validated)
-    for rule in ruleset:
-        attrs |= set(rule.reads)
-        attrs.add(rule.target)
-    for ranked in regions:
-        region = getattr(ranked, "region", ranked)
-        attrs |= set(region.attrs)
-        for pattern in region.tableau:
-            attrs |= set(pattern.attrs)
-    return frozenset(attrs)
-
-
-def repair_signature(
-    values: Mapping[str, Any],
-    truth: Mapping[str, Any] | None,
-    schema: Schema,
-    projection: frozenset[str] | None = None,
-) -> tuple:
-    """The value vector that determines a tuple's repair transcript.
-
-    With a ``projection``, dirty values outside it are elided (see
-    :func:`transcript_projection`); truth values always cover the whole
-    schema — every validated cell ends at its truth value.
-    """
-    if projection is None:
-        sig = tuple(values[n] for n in schema.names)
-    else:
-        sig = tuple(values[n] if n in projection else _ELIDED for n in schema.names)
-    if truth is not None:
-        sig += tuple(truth[n] for n in schema.names)
-    return sig
 
 
 @dataclass(frozen=True)
 class PlanGroup:
-    """Rows sharing one repair signature; resolved once per batch."""
+    """Rows sharing one answer key; resolved once per batch."""
 
     representative: int  # position of the first member in the dirty relation
-    members: tuple[int, ...]  # all positions sharing the signature
-    values: dict[str, Any]  # the (dirty) input values
+    members: tuple[int, ...]  # all positions sharing the key
+    values: dict[str, Any]  # the representative's (dirty) input values
     truth: dict[str, Any] | None  # oracle answers, when truth is supplied
 
     @property
@@ -121,13 +71,22 @@ class Shard:
 
 @dataclass(frozen=True)
 class RepairPlan:
-    """The full batch plan: deduplicated groups dealt into shards."""
+    """The full batch plan: answer-key groups dealt into shards.
+
+    ``key`` names the columns the answer key reads (of the truth rows
+    when there are any); ``row_group[i]`` is the position in ``groups``
+    of row ``i``'s group.
+    """
 
     groups: tuple[PlanGroup, ...]
     shards: tuple[Shard, ...]
     total_tuples: int
-    fingerprint: str
     dedupe: bool
+    key: tuple[str, ...]
+    row_group: list[int] = field(repr=False)
+    dirty: Relation = field(repr=False)
+    truth: Relation | None = field(repr=False)
+    context: tuple[str, ...] = ()
 
     @property
     def n_groups(self) -> int:
@@ -137,6 +96,30 @@ class RepairPlan:
     def duplicates_collapsed(self) -> int:
         """Rows that ride along on another row's repair."""
         return self.total_tuples - self.n_groups
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """SHA-256 over the configuration, the partitioning and every
+        full input row (dirty and truth, typed). The answer key alone
+        does not bind the columns outside it, and a journal must never
+        resume over different rows."""
+        digest = hashlib.sha256()
+        digest.update(repr(tuple(self.dirty.schema.names)).encode("utf-8"))
+        digest.update(repr(tuple(self.context)).encode("utf-8"))
+        digest.update(
+            f"shards={len(self.shards)};dedupe={self.dedupe};key={self.key}".encode("utf-8")
+        )
+        for relation in (self.dirty, self.truth):
+            if relation is None:
+                digest.update(b"no truth")
+                continue
+            # Each column as its dictionary (typed reprs) plus its ids:
+            # equal bytes decode to equal typed rows.
+            for name in relation.schema.names:
+                d, ids = relation.column_ids(name)
+                digest.update(repr(d.values).encode("utf-8"))
+                digest.update(array("q", ids).tobytes())
+        return digest.hexdigest()
 
     def describe(self) -> str:
         return (
@@ -152,20 +135,18 @@ def build_plan(
     *,
     shards: int = 1,
     dedupe: bool = True,
+    validated: Sequence[str] = (),
     context: Sequence[str] = (),
-    projection: frozenset[str] | None = None,
 ) -> RepairPlan:
     """Plan the batch repair of ``dirty`` (optionally oracle-backed by
     ``truth``).
 
-    ``context`` is extra identity (rule ids, mode, …) folded into the
-    plan fingerprint so a checkpoint journal written under one engine
-    configuration is never resumed under another. ``projection``
-    restricts the dirty half of the repair signature to the
-    transcript-relevant attributes (:func:`transcript_projection`),
-    collapsing rows that differ only in payload columns; the caller
-    (the pipeline) is responsible for restoring per-member payload
-    values at assembly/replay time.
+    Rows are grouped on their answer key: the typed truth row, or
+    without truth the typed dirty values of ``validated``.
+    ``dedupe=False`` makes every row its own group. ``context`` is
+    extra identity (rule ids, mode, …) folded into the plan fingerprint
+    so a checkpoint journal written under one engine configuration is
+    never resumed under another.
     """
     if shards < 1:
         raise CerFixError(f"shards must be >= 1, got {shards}")
@@ -173,44 +154,40 @@ def build_plan(
         raise CerFixError(
             f"truth has {len(truth)} rows but the dirty relation has {len(dirty)}"
         )
-    schema = dirty.schema
-    by_signature: dict[tuple, list[int]] = {}
-    signatures: list[tuple] = []
-    if projection is not None and projection >= frozenset(schema.names):
-        projection = None  # everything is relevant — whole-row semantics
-    # Signatures are computed column-wise: one decode pass per attribute
-    # over the relation's value arrays (elided attributes never decode at
-    # all), then one zip — same tuples, in the same order, as the
-    # per-row :func:`repair_signature`, without materialising a dict per
-    # row. ``repair_signature`` remains the specification (and the
-    # parity tests hold the two paths together).
     n_rows = len(dirty)
-    parts: list[list] = [
-        dirty.column(name)
-        if projection is None or name in projection
-        else [_ELIDED] * n_rows
-        for name in schema.names
-    ]
-    if truth is not None:
-        parts.extend(truth.column(name) for name in schema.names)
-    sig_rows = zip(*parts) if parts else iter(() for _ in range(n_rows))
-    for i, sig in enumerate(sig_rows):
-        if not dedupe:
-            sig = sig + (i,)  # unique per row: every row is its own group
-        signatures.append(sig)
-        by_signature.setdefault(sig, []).append(i)
+    names = dirty.schema.names
+    key_source = truth if truth is not None else dirty
+    key_names = names if truth is not None else tuple(validated)
+    if not dedupe:
+        row_group = list(range(n_rows))
+        n_groups = n_rows
+    else:
+        key_cols = [key_source.column_ids(name)[1] for name in key_names]
+        keys = zip(*key_cols) if key_cols else [()] * n_rows
+        index: dict[tuple, int] = {}
+        row_group = [index.setdefault(key, len(index)) for key in keys]
+        n_groups = len(index)
+    members: list[list[int]] = [[] for _ in range(n_groups)]
+    for i, g in enumerate(row_group):
+        members[g].append(i)
 
-    groups = []
-    for members in by_signature.values():  # insertion (first-seen) order
-        rep = members[0]
-        groups.append(
-            PlanGroup(
-                representative=rep,
-                members=tuple(members),
-                values=dirty.row(rep).to_dict(),
-                truth=truth.row(rep).to_dict() if truth is not None else None,
-            )
-        )
+    reps = [m[0] for m in members]
+
+    def rows_at(relation: Relation) -> list[dict[str, Any]]:
+        """The representatives' rows of ``relation``, decoded column by column."""
+        cols = []
+        for name in names:
+            d, ids = relation.column_ids(name)
+            values = d.values
+            cols.append([values[ids[r]] for r in reps])
+        return [dict(zip(names, row)) for row in zip(*cols)] if cols else [{} for _ in reps]
+
+    dirty_rows = rows_at(dirty)
+    truth_rows = rows_at(truth) if truth is not None else [None] * n_groups
+    groups = [
+        PlanGroup(representative=m[0], members=tuple(m), values=v, truth=t)
+        for m, v, t in zip(members, dirty_rows, truth_rows)
+    ]
 
     n_shards = max(1, min(shards, len(groups))) if groups else 1
     shard_list = tuple(
@@ -218,24 +195,19 @@ def build_plan(
         for i in range(n_shards)
     )
 
-    digest = hashlib.sha256()
-    digest.update(repr(tuple(schema.names)).encode("utf-8"))
-    digest.update(repr(tuple(context)).encode("utf-8"))
-    digest.update(f"shards={n_shards};dedupe={dedupe}".encode("utf-8"))
-    projected = "*" if projection is None else ",".join(sorted(projection))
-    digest.update(f"projection={projected}".encode("utf-8"))
-    for sig in signatures:
-        digest.update(repr(sig).encode("utf-8"))
-
     reg = get_registry()
-    reg.inc("cerfix.plan.rows", len(dirty))
+    reg.inc("cerfix.plan.rows", n_rows)
     reg.inc("cerfix.plan.groups", len(groups))
-    reg.inc("cerfix.plan.deduped_rows", len(dirty) - len(groups))
+    reg.inc("cerfix.plan.deduped_rows", n_rows - len(groups))
 
     return RepairPlan(
         groups=tuple(groups),
         shards=shard_list,
-        total_tuples=len(dirty),
-        fingerprint=digest.hexdigest(),
+        total_tuples=n_rows,
         dedupe=dedupe,
+        key=tuple(key_names),
+        row_group=row_group,
+        dirty=dirty,
+        truth=truth,
+        context=tuple(context),
     )

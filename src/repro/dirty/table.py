@@ -12,7 +12,7 @@ undo restores) addresses its cells, and they are UPDATE-stable by
 construction.
 
 The table digest — SHA-256 over the column names and every
-``(row key, row)`` in key order, computed page by page — is the
+``(row key, row)`` in key order, streamed off one cursor — is the
 identity undo verifies against: it pins both content *and* row-key
 binding, so a table that was mutated, even back to equal-looking
 values under different keys, cannot silently pass.
@@ -179,16 +179,24 @@ class DirtyTable:
     # -- identity ----------------------------------------------------------
 
     def digest(self, conn) -> str:
-        """SHA-256 over column names and every (row key, row), key order."""
+        """SHA-256 over column names and every (row key, row), key order,
+        hashed straight off the cursor: each value is the database's
+        own, so ``0.0`` and ``-0.0`` hash apart."""
         sha = hashlib.sha256()
         cols = self.columns(conn)
         sha.update(repr(tuple(cols)).encode("utf-8"))
-        schema = Schema(self.table, cols)
-        for page in self.pages(conn, _SCAN_ROWS, schema=schema):
-            raw = page.relation.raw_tuples()
-            for key, row in zip(page.keys, raw):
-                sha.update(repr((key, row)).encode("utf-8"))
-        return sha.hexdigest()
+        q = self.backend.quote
+        key = self.backend.row_key
+        cursor = conn.execute(
+            f"SELECT {key}, {', '.join(q(c) for c in cols)} FROM {q(self.table)} "
+            f"ORDER BY {key}"
+        )
+        while True:
+            rows = cursor.fetchmany(_SCAN_ROWS)
+            if not rows:
+                return sha.hexdigest()
+            for row in rows:
+                sha.update(repr((row[0], tuple(row[1:]))).encode("utf-8"))
 
     # -- writes ------------------------------------------------------------
 

@@ -238,8 +238,8 @@ class CerFix:
     ) -> BatchResult:
         """Clean a whole relation through the batch pipeline.
 
-        The batch counterpart of :meth:`stream`: duplicate repair
-        signatures are resolved once, master probes are LRU-cached, and
+        The batch counterpart of :meth:`stream`: rows sharing an answer
+        key are resolved once, master probes are LRU-cached, and
         the plan is sharded across ``workers`` (``backend`` picks threads
         or processes; ``workers=1`` is the deterministic serial path —
         parallel runs produce bit-identical output). ``journal_path``

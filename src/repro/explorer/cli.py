@@ -726,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=("thread", "process"), default="thread")
     p.add_argument("--shards", type=int, help="shard count (default: 4 per worker)")
     p.add_argument("--no-dedupe", action="store_true", dest="no_dedupe",
-                   help="disable duplicate-signature collapsing")
+                   help="resolve every row on its own (no answer-key grouping)")
     p.add_argument("--validated", help="comma-separated trusted columns (rule-only mode)")
     p.add_argument("--journal", help="checkpoint journal path (enables crash-safe resume)")
     p.add_argument("--cache", help="probe-cache snapshot path (warm-starts repeat runs "

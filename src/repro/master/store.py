@@ -58,7 +58,7 @@ from repro.errors import MasterDataError
 from repro.core.rule import EditingRule
 from repro.core.ruleset import RuleSet
 from repro.relational.index import HashIndex
-from repro.relational.relation import Relation, _rebuild_relation
+from repro.relational.relation import Relation
 from repro.relational.schema import Schema, schema_from_json, schema_to_json
 
 #: Backend names accepted wherever a store is selected by string
@@ -607,7 +607,7 @@ class ShardedMasterStore(MasterStore):
 
 
 def _rebuild_sharded(schema: Schema, tuples: list[tuple], shards: int) -> "ShardedMasterStore":
-    return ShardedMasterStore(_rebuild_relation(schema, tuples), shards)
+    return ShardedMasterStore(Relation(schema, tuples), shards)
 
 
 # -- sqlite snapshots ---------------------------------------------------------
@@ -785,7 +785,7 @@ def _rebuild_sqlite(path: str, schema: Schema, tuples: list[tuple]) -> "SqliteMa
     store = SqliteMasterStore.__new__(SqliteMasterStore)
     store.path = Path(path)
     store._digest = None  # recomputed lazily; content shipped verbatim
-    store.relation = _rebuild_relation(schema, tuples)
+    store.relation = Relation(schema, tuples)
     store._inner = SingleRelationStore(store.relation)
     return store
 

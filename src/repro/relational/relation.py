@@ -67,6 +67,35 @@ class ColumnDict:
                 norm.append(normalize_value(value, op))
         return vid
 
+    def id_of(self, value: Any) -> int | None:
+        """The id ``value`` was interned under, or None (not interned,
+        or unhashable)."""
+        try:
+            return self._ids.get((value.__class__, value))
+        except TypeError:
+            return None
+
+    def intern_all(self, values: Sequence[Any]) -> list[int]:
+        """The ids of ``values``, in order (:meth:`intern` for a whole
+        column): one dictionary lookup per cell, and the allocating
+        path only for cells not yet interned."""
+        try:
+            get = self._ids.get
+            found = [get((v.__class__, v)) for v in values]
+        except TypeError:  # an unhashable cell: intern one by one
+            return [self.intern(v) for v in values]
+        intern = self.intern
+        return [vid if vid is not None else intern(v) for vid, v in zip(found, values)]
+
+    def copy(self) -> "ColumnDict":
+        """An independent dictionary with the same ids (normalised
+        arrays are left to rebuild lazily)."""
+        out = ColumnDict.__new__(ColumnDict)
+        out.values = list(self.values)
+        out._ids = dict(self._ids)
+        out._norms = {}
+        return out
+
     def normalized(self, op: str) -> list[Any]:
         """The id → normalised-value array for ``op`` (lazily computed)."""
         norm = self._norms.get(op)
@@ -107,6 +136,27 @@ class Relation:
         self._version = 0
         self.extend(rows)
 
+    @classmethod
+    def from_columns(
+        cls,
+        schema: Schema,
+        dicts: Sequence[ColumnDict],
+        cols: Sequence[list[int]],
+        nrows: int | None = None,
+    ) -> "Relation":
+        """A relation over ready-made columns: ``dicts[p]`` decodes the
+        ids in ``cols[p]``. Both are taken over, not copied (a dictionary
+        may be shared — they are append-only, so ids stay valid)."""
+        relation = cls.__new__(cls)
+        relation.schema = schema
+        relation._dicts = list(dicts)
+        relation._cols = list(cols)
+        relation._nrows = nrows if nrows is not None else len(cols[0]) if cols else 0
+        relation._indexes = {}
+        relation._mat = None
+        relation._version = 0
+        return relation
+
     # -- mutation --------------------------------------------------------
 
     def append(self, row: Sequence[Any] | Row | Mapping[str, Any]) -> int:
@@ -121,13 +171,17 @@ class Relation:
         return self._nrows - 1
 
     def extend(self, rows: Iterable[Sequence[Any] | Row | Mapping[str, Any]]) -> None:
-        """Add many rows. Invalidates indexes once."""
-        coerced = [self._coerce(r) for r in rows]
+        """Add many rows, interning column by column. Plain tuples of the
+        right arity skip :meth:`_coerce`. Invalidates indexes once."""
+        arity = len(self.schema)
+        coerced = [
+            r if r.__class__ is tuple and len(r) == arity else self._coerce(r)
+            for r in rows
+        ]
         if not coerced:
             return
         for pos, (col, d) in enumerate(zip(self._cols, self._dicts)):
-            intern = d.intern
-            col.extend(intern(t[pos]) for t in coerced)
+            col.extend(d.intern_all([t[pos] for t in coerced]))
         self._nrows += len(coerced)
         self._indexes.clear()
         self._mat = None
@@ -188,16 +242,26 @@ class Relation:
     # -- access ----------------------------------------------------------
 
     def _materialized(self) -> list[tuple]:
-        """Row tuples decoded from the columns, cached until mutation."""
+        """Row tuples decoded from the columns, cached until mutation.
+        Rows with equal ids share one tuple, so a duplicate-heavy
+        relation materialises as pointers to its distinct rows."""
         mat = self._mat
         if mat is None:
             if not self._cols:
                 mat = [()] * self._nrows
             else:
-                decoded = [
-                    [d.values[i] for i in col] for d, col in zip(self._dicts, self._cols)
-                ]
-                mat = list(zip(*decoded))
+                keys = list(zip(*self._cols))
+                distinct = dict.fromkeys(keys)
+                if len(distinct) < len(keys):
+                    dict_values = [d.values for d in self._dicts]
+                    for key in distinct:
+                        distinct[key] = tuple(v[i] for v, i in zip(dict_values, key))
+                    mat = list(map(distinct.__getitem__, keys))
+                else:
+                    decoded = [
+                        [d.values[i] for i in col] for d, col in zip(self._dicts, self._cols)
+                    ]
+                    mat = list(zip(*decoded))
             self._mat = mat
         return mat
 
@@ -241,6 +305,13 @@ class Relation:
         values = self._dicts[pos].values
         return [values[i] for i in self._cols[pos]]
 
+    def column_ids(self, name: str) -> tuple[ColumnDict, list[int]]:
+        """One attribute's dictionary and value ids, in row order: equal
+        ids are equal values of one type. A read-only borrow, like
+        :meth:`raw_tuples`."""
+        pos = self.schema.position(name)
+        return self._dicts[pos], self._cols[pos]
+
     def predicate_mask(self, name: str, predicate: Callable[[Any], bool]) -> list[bool]:
         """Per-row truth of ``predicate`` over one column — evaluated
         once per *distinct* value (the column dictionary), then fanned
@@ -261,17 +332,14 @@ class Relation:
         """A new relation with just ``names`` (duplicates kept)."""
         schema = self.schema.project(names, name)
         positions = [self.schema.position(n) for n in names]
-        out = Relation.__new__(Relation)
-        out.schema = schema
         # Dictionaries are shared: they are append-only (ids are stable),
         # so growth through either relation cannot corrupt the other.
-        out._dicts = [self._dicts[p] for p in positions]
-        out._cols = [list(self._cols[p]) for p in positions]
-        out._nrows = self._nrows
-        out._indexes = {}
-        out._mat = None
-        out._version = 0
-        return out
+        return Relation.from_columns(
+            schema,
+            [self._dicts[p] for p in positions],
+            [list(self._cols[p]) for p in positions],
+            self._nrows,
+        )
 
     def select(self, predicate: Callable[[Row], bool]) -> "Relation":
         """A new relation with the rows satisfying ``predicate``."""
@@ -279,15 +347,9 @@ class Relation:
         keep = [
             i for i, t in enumerate(self._materialized()) if predicate(Row(schema, t))
         ]
-        out = Relation.__new__(Relation)
-        out.schema = schema
-        out._dicts = self._dicts
-        out._cols = [[col[i] for i in keep] for col in self._cols]
-        out._nrows = len(keep)
-        out._indexes = {}
-        out._mat = None
-        out._version = 0
-        return out
+        return Relation.from_columns(
+            schema, self._dicts, [[col[i] for i in keep] for col in self._cols], len(keep)
+        )
 
     # -- indexing --------------------------------------------------------
 
@@ -366,8 +428,6 @@ def _rebuild_columnar(
 ) -> Relation:
     """Unpickle target: reattach known-good columns without re-interning
     row by row; indexes start empty and rebuild lazily on first probe."""
-    relation = Relation.__new__(Relation)
-    relation.schema = schema
     dicts = []
     for values in dict_values:
         d = ColumnDict.__new__(ColumnDict)
@@ -381,32 +441,4 @@ def _rebuild_columnar(
         d._ids = ids
         d._norms = {}
         dicts.append(d)
-    relation._dicts = dicts
-    relation._cols = [list(c) for c in cols]
-    relation._nrows = nrows
-    relation._indexes = {}
-    relation._mat = None
-    relation._version = 0
-    return relation
-
-
-def _rebuild_relation(schema: Schema, tuples: Sequence[tuple]) -> Relation:
-    """Row-tuple rebuild target, kept for callers that ship raw tuples
-    (sharded / sqlite store reconstruction): re-interns each tuple but
-    skips per-row coercion — the tuples are known-good."""
-    relation = Relation.__new__(Relation)
-    relation.schema = schema
-    tuples = list(tuples)
-    ncols = len(schema)
-    dicts = [ColumnDict() for _ in range(ncols)]
-    cols: list[list[int]] = []
-    for pos in range(ncols):
-        intern = dicts[pos].intern
-        cols.append([intern(t[pos]) for t in tuples])
-    relation._dicts = dicts
-    relation._cols = cols
-    relation._nrows = len(tuples)
-    relation._indexes = {}
-    relation._mat = None
-    relation._version = 0
-    return relation
+    return Relation.from_columns(schema, dicts, [list(c) for c in cols], nrows)

@@ -71,6 +71,25 @@ def hospital_ruleset():
     return hospital.hospital_ruleset()
 
 
+def street_variants(dirty: Relation, truth: Relation, every: int = 3) -> tuple[Relation, Relation]:
+    """``dirty``/``truth`` plus a copy of every ``every``-th row whose
+    truth differs only in ``str``. A uk rule always fixes ``str`` from
+    the master data, so no question asks for it: each copy has an
+    answer key of its own but replays its original's transcript."""
+    position = truth.schema.position("str")
+    extra = range(0, len(truth), every)
+    truth_rows = truth.raw_tuples()
+    variants = [
+        truth_rows[i][:position] + (f"{truth_rows[i][position]} (alt)",) + truth_rows[i][position + 1:]
+        for i in extra
+    ]
+    dirty_rows = dirty.raw_tuples()
+    return (
+        Relation(dirty.schema, list(dirty_rows) + [dirty_rows[i] for i in extra]),
+        Relation(truth.schema, list(truth_rows) + variants),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Hypothesis strategies for the store-parity property tests
 # ---------------------------------------------------------------------------

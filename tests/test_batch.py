@@ -26,6 +26,7 @@ from repro.master.store import ShardedMasterStore
 from repro.obs.metrics import get_registry
 from repro.relational.relation import Relation
 from repro.scenarios import hospital, uk_customers as uk
+from conftest import street_variants
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +85,24 @@ def test_plan_fingerprint_sensitivity(uk_batch):
     _, wl = uk_batch
     base = build_plan(wl.dirty, wl.clean, shards=4)
     assert base.fingerprint == build_plan(wl.dirty, wl.clean, shards=4).fingerprint
+    seen = {base.fingerprint}
     assert base.fingerprint != build_plan(wl.dirty, wl.clean, shards=2).fingerprint
     assert base.fingerprint != build_plan(wl.dirty, shards=4).fingerprint
     assert base.fingerprint != build_plan(
         wl.dirty, wl.clean, shards=4, context=("other-engine",)
+    ).fingerprint
+    # Every typed cell counts, inside the answer key or not.
+    item = wl.dirty.schema.position("item")
+    for value in (1, 1.0, True):
+        rows = list(wl.dirty.raw_tuples())
+        rows[0] = rows[0][:item] + (value,) + rows[0][item + 1:]
+        variant = build_plan(Relation(wl.dirty.schema, rows), wl.clean, shards=4)
+        assert variant.row_group == base.row_group
+        assert variant.fingerprint not in seen
+        seen.add(variant.fingerprint)
+    # Rule-only plans bind the columns their answer key reads.
+    assert build_plan(wl.dirty, validated=("zip",)).fingerprint != build_plan(
+        wl.dirty, validated=("phn",)
     ).fingerprint
 
 
@@ -230,9 +245,11 @@ def test_suggestion_memo_counts_agree_across_backends():
     on the shard results. One shard gives every backend the same work:
     with the run-wide transcript memo, how many real sessions run (and
     so how many suggestions are looked up) depends on how groups are
-    dealt to memos."""
+    dealt to memos. Street variants give the memo answer keys that
+    share a transcript, so it hits."""
     master = uk.generate_master(20, seed=1)
     wl = uk.generate_workload(master, 400, seed=2)
+    dirty, truth = street_variants(wl.dirty, wl.clean)
     engine = CerFix(uk.paper_ruleset(), master)
     registry = get_registry()
     names = (
@@ -243,7 +260,7 @@ def test_suggestion_memo_counts_agree_across_backends():
     for workers, backend in ((1, "thread"), (2, "thread"), (2, "process")):
         before = [registry.counter_value(n) for n in names]
         result = engine.clean_relation(
-            wl.dirty, wl.clean, workers=workers, backend=backend, shards=1
+            dirty, truth, workers=workers, backend=backend, shards=1
         )
         assert result.report.backend == backend
         memo_hits, memo_misses, hits, misses = (
@@ -386,29 +403,40 @@ def test_schema_mismatch_rejected(uk_batch):
 
 
 # ---------------------------------------------------------------------------
-# Projection dedup: rule-relevant signatures (ISSUE 4 satellite)
+# Answer-key dedup: rows group on the inputs their transcript reads
 # ---------------------------------------------------------------------------
 
 
-def test_transcript_projection_covers_rule_and_region_attrs():
-    from repro.batch.planner import transcript_projection
-    from repro.core.region import RankedRegion, Region
-    from repro.core.certainty import CertaintyMode
-
-    ruleset = hospital.hospital_ruleset()
-    projection = transcript_projection(ruleset)
-    for rule in ruleset:
-        assert set(rule.reads) <= projection
-        assert rule.target in projection
-    # the hospital payload columns are exactly what no rule mentions
-    assert set(hospital.INPUT_SCHEMA.names) - projection == {"score", "sample"}
-    region = RankedRegion(Region(("score", "zip")), CertaintyMode.ANCHORED, coverage=1.0)
-    assert "score" in transcript_projection(ruleset, regions=(region,))
-    assert "sample" in transcript_projection(ruleset, validated=("sample",))
-    # uk: only 'item' (a mandatory payload column — user-validated, never
-    # read or written by a rule) falls outside the projection
-    uk_proj = transcript_projection(uk.paper_ruleset())
-    assert set(uk.INPUT_SCHEMA.names) - uk_proj == {"item"}
+def test_answer_key_groups_on_typed_truth_or_validated_values(uk_batch):
+    """Oracle plans group on the typed truth row, rule-only plans on the
+    typed dirty values of ``validated``; dirty cells outside the key
+    never split a group, and a value of another type always does."""
+    _, wl = uk_batch
+    names = wl.dirty.schema.names
+    item = names.index("item")
+    dirty_rows = wl.dirty.raw_tuples()
+    truth_rows = wl.clean.raw_tuples()
+    # Oracle: the same truth under every dirty row, one typed twin.
+    rows = [row[:item] + (f"noise-{i}",) + row[item + 1:] for i, row in enumerate(dirty_rows[:6])]
+    truth = [truth_rows[0]] * 5 + [truth_rows[0][:item] + (1.0,) + truth_rows[0][item + 1:]]
+    truth[0] = truth[0][:item] + (1,) + truth[0][item + 1:]
+    plan = build_plan(Relation(wl.dirty.schema, rows), Relation(wl.clean.schema, truth))
+    assert [g.members for g in plan.groups] == [(0,), (1, 2, 3, 4), (5,)]
+    assert plan.row_group == [0, 1, 1, 1, 1, 2]
+    assert [repr(g.truth["item"]) for g in plan.groups] == ["1", repr(truth_rows[0][item]), "1.0"]
+    assert [g.values for g in plan.groups] == [
+        dict(zip(names, rows[g.representative])) for g in plan.groups
+    ]
+    # Rule-only: distinct typed validated values, whatever else differs.
+    rule_only = build_plan(wl.dirty, validated=("zip",))
+    zips = wl.dirty.column("zip")
+    assert rule_only.n_groups == len({(type(z), z) for z in zips})
+    for group in rule_only.groups:
+        assert {repr(zips[m]) for m in group.members} == {repr(group.values["zip"])}
+    assert build_plan(wl.dirty).n_groups == 1  # nothing validated: one transcript
+    # Every row sits in the group ``row_group`` names.
+    for g, group in enumerate(rule_only.groups):
+        assert all(rule_only.row_group[m] == g for m in group.members)
 
 
 def _payload_duplicated_workload(hospital_batch):
@@ -432,17 +460,16 @@ def _payload_duplicated_workload(hospital_batch):
 
 
 def test_projected_dedup_strictly_beats_whole_row_on_hospital(hospital_batch):
-    from repro.batch.planner import transcript_projection
-
+    """Answer keys collapse rows that whole-row signatures (dirty row
+    plus truth row) keep apart."""
     _, dirty, truth = _payload_duplicated_workload(hospital_batch)
-    projection = transcript_projection(hospital.hospital_ruleset())
-    whole = build_plan(dirty, truth)
-    projected = build_plan(dirty, truth, projection=projection)
-    assert projected.n_groups < whole.n_groups  # strictly more dedup
-    assert projected.n_groups <= len(dirty) // 2
-    assert projected.fingerprint != whole.fingerprint  # journals cannot mix
+    whole_row_groups = len(set(zip(dirty.raw_tuples(), truth.raw_tuples())))
+    keyed = build_plan(dirty, truth)
+    assert keyed.n_groups < whole_row_groups  # strictly more dedup
+    assert keyed.n_groups <= len(dirty) // 2
+    assert keyed.fingerprint != build_plan(dirty, truth, dedupe=False).fingerprint
     # every row still belongs to exactly one group
-    members = sorted(m for g in projected.groups for m in g.members)
+    members = sorted(m for g in keyed.groups for m in g.members)
     assert members == list(range(len(dirty)))
 
 

@@ -28,7 +28,7 @@ import pytest
 from repro import CerFix
 from repro.audit.log import AuditLog
 from repro.batch import executor as executor_mod
-from repro.batch.executor import BatchContext, ShardResult
+from repro.batch.executor import BatchContext, GroupOutcome, ShardResult
 from repro.batch.planner import PlanGroup
 from repro.cache import LRUCache
 from repro.master.conformance import normalize_report
@@ -37,6 +37,7 @@ from repro.master.plane import CachedMasterDataManager
 from repro.obs.metrics import get_registry
 from repro.relational.relation import Relation
 from repro.scenarios import uk_customers as uk
+from conftest import street_variants
 
 # ---------------------------------------------------------------------------
 # (a) AuditLog: segments vs per-event record
@@ -208,6 +209,43 @@ def test_interleaved_threads_keep_sequence_order():
         assert seqs == list(range(entry.base, entry.base + len(seqs)))
 
 
+def test_per_tuple_index_catches_up_under_concurrent_appends():
+    """The per-tuple index is built on query: readers catching it up
+    while writers append must leave every event indexed exactly once."""
+    event = _random_event(random.Random(0))
+    log = AuditLog()
+    writing = threading.Event()
+    writing.set()
+
+    def write(k):
+        for i in range(5000):
+            log.record_group([f"w{k}t{i % 10}"], [event])
+
+    def read():
+        while writing.is_set():
+            log.stats()
+
+    writers = [threading.Thread(target=write, args=(k,)) for k in range(4)]
+    readers = [threading.Thread(target=read) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for t in readers + writers:
+            t.start()
+        for t in writers:
+            t.join(timeout=60)
+        writing.clear()
+        for t in readers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in readers + writers)
+    for k in range(4):
+        for i in range(10):
+            assert len(log.by_tuple(f"w{k}t{i}")) == 500
+    assert log.stats() == {"events": 20000, "tuples": 40}
+
+
 # ---------------------------------------------------------------------------
 # (b) Hostile memo keys, at the executor
 # ---------------------------------------------------------------------------
@@ -228,9 +266,23 @@ def _group(i: int, values: dict, truth: dict | None) -> PlanGroup:
     return PlanGroup(representative=i, members=(i,), values=values, truth=truth)
 
 
-def _canonical(outcome) -> str:
+def _canonical(outcome, values: dict | None = None) -> str:
+    """The outcome as JSON; with ``values``, bound onto that row the way
+    the pipeline binds a member: each attribute's first ``old`` is the
+    row's own, changed cells are recounted, and ``values`` is the row
+    with every touched cell at its last ``new``."""
     obj = outcome.to_json()
-    obj["values"] = sorted(obj["values"].items())
+    if values is not None:
+        state = dict(values)
+        events = []
+        for e in obj["audit_events"]:
+            if e["attr"] not in {x["attr"] for x in events}:
+                e = {**e, "old": values[e["attr"]]}
+            state[e["attr"]] = e["new"]
+            events.append(e)
+        obj["audit_events"] = events
+        obj["changed_cells"] = sum(e["old"] != e["new"] for e in events)
+        obj["values"] = sorted(state.items())
     return json.dumps(obj, sort_keys=True)
 
 
@@ -258,7 +310,7 @@ def _reference(ctx: BatchContext, group: PlanGroup):
 
 
 def _leaves(transcripts: LRUCache) -> int:
-    return sum(1 for _, node in transcripts.snapshot() if isinstance(node, executor_mod._Leaf))
+    return sum(1 for _, node in transcripts.snapshot() if isinstance(node, GroupOutcome))
 
 
 def test_typed_answers_never_share_a_node(world):
@@ -276,24 +328,47 @@ def test_typed_answers_never_share_a_node(world):
     assert [hit for _, hit in again] == [True] * 4
     assert _leaves(resolve.transcripts) == 4
     for g, (a, _), (b, _) in zip(groups, first, again):
-        want = _canonical(_reference(ctx, g))
-        assert _canonical(a) == want
-        assert _canonical(b) == want
+        want = _reference(ctx, g)
+        assert _canonical(a) == _canonical(want)
+        assert _canonical(b, g.values) == _canonical(want, g.values)
 
 
-def test_hit_rebinds_type_distinct_inputs(world):
-    """Groups on one answer path whose dirty cells differ only in
-    type: the replay must report each group's own ``old``."""
+def test_hit_rebinds_type_distinct_inputs(world, tmp_path, monkeypatch):
+    """Rows on one answer key whose dirty cells differ only in type
+    share one group: binding must report each member's own ``old``,
+    exactly as a real session per row does."""
     master, wl = world
-    ctx = _ctx(master)
+    names = wl.dirty.schema.names
     values, truth = wl.dirty.row(1).to_dict(), wl.clean.row(1).to_dict()
-    resolve = _Resolver(ctx)
-    for i, (item, phn) in enumerate([("1", 1), (1, 1.0), (1.0, True), (True, "1")]):
-        group = _group(i, {**values, "item": item, "FN": phn}, truth)
-        outcome, hit = resolve(group)
-        assert hit == (i > 0)
-        assert _canonical(outcome) == _canonical(_reference(ctx, group))
-    assert _leaves(resolve.transcripts) == 1
+    variants = [("1", 1), (1, 1.0), (1.0, True), (True, "1")]
+    dirty = Relation(
+        wl.dirty.schema,
+        [tuple({**values, "item": item, "FN": phn}[n] for n in names) for item, phn in variants],
+    )
+    truth_rel = Relation(wl.clean.schema, [tuple(truth[n] for n in names)] * len(variants))
+    args = (uk.paper_ruleset(), master)
+    memo = _run(args, dirty, truth_rel, tmp_path, "memo")
+    with monkeypatch.context() as m:
+        _without_memo(m)
+        plain = _run(args, dirty, truth_rel, tmp_path, "plain", dedupe=False)
+    assert memo[0].report.groups == 1 and plain[0].report.groups == len(variants)
+    assert [repr(r) for r in memo[0].relation.raw_tuples()] == [
+        repr(r) for r in plain[0].relation.raw_tuples()
+    ]
+    for i, (item, phn) in enumerate(variants):
+        events = memo[2].by_tuple(f"t{i}")
+        assert _unsequenced(events) == _unsequenced(plain[2].by_tuple(f"t{i}"))
+        firsts = {e.attr: e.old for e in reversed(events)}
+        assert repr(firsts["item"]) == repr(item)
+        assert repr(firsts["FN"]) == repr(phn)
+
+
+def _unsequenced(events) -> list[str]:
+    """:func:`_typed` without sequence numbers, which follow grouping."""
+    return [
+        json.dumps({k: v for k, v in e.to_json().items() if k != "seq"}, sort_keys=True)
+        for e in events
+    ]
 
 
 def test_chase_memo_rebinds_type_distinct_inputs(world):
@@ -337,7 +412,7 @@ def test_rule_only_memo_keys_on_the_validated_values(world):
         group = _group(i, values, None)
         outcome, hit = resolve(group)
         hits += hit
-        assert _canonical(outcome) == _canonical(_reference(ctx, group))
+        assert _canonical(outcome, values) == _canonical(_reference(ctx, group), values)
     assert _leaves(resolve.transcripts) == len({r["zip"] for r in rows})
     assert hits == len(rows) - _leaves(resolve.transcripts)
 
@@ -460,7 +535,7 @@ def test_real_sessions_equal_distinct_transcripts(world, monkeypatch):
     registry = get_registry()
     before = {k: registry.counter_value(f"cerfix.transcript_memo.{k}") for k in ("hits", "misses")}
     engine = CerFix(uk.paper_ruleset(), master)
-    result = engine.clean_relation(wl.dirty, wl.clean)
+    result = engine.clean_relation(*street_variants(wl.dirty, wl.clean))
     hits, misses = (
         registry.counter_value(f"cerfix.transcript_memo.{k}") - before[k]
         for k in ("hits", "misses")

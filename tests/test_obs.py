@@ -40,6 +40,7 @@ from repro.obs.metrics import (
     get_registry,
 )
 from repro.scenarios import uk_customers as uk
+from conftest import street_variants
 
 
 @pytest.fixture(autouse=True)
@@ -529,7 +530,7 @@ class TestTracingIsPure:
         engine = CerFix(uk.paper_ruleset(), master)
         trace.configure(tmp_path / "t.jsonl")
         try:
-            engine.clean_relation(wl.dirty, wl.clean)
+            engine.clean_relation(*street_variants(wl.dirty, wl.clean))
         finally:
             trace.disable()
         chases = _group_chases(tmp_path / "t.jsonl")

@@ -184,3 +184,39 @@ def test_delete_rejects_out_of_range_positions():
         relation.delete_rows([5])
     with pytest.raises(RelationError):
         relation.update_cell(7, "a", 0)
+
+
+#: Cells that compare equal across types or signs: 1 / 1.0 / True, 0.0 / -0.0.
+_TYPED_ROWS = [(-0.0, 1, "x"), (0.0, 1.0, "x"), (1, True, "x"), (-0.0, 1, "x"), (0.0, 1.0, "x")]
+
+
+@pytest.mark.parametrize("form", ["tuple", "list", "mapping", "row", "extend"])
+def test_ingestion_paths_agree_with_every_view(form):
+    """Plain tuples skip coercion; every ingestion path must still give
+    ``raw_tuples``, ``row`` and ``column`` one answer, typed."""
+    from repro.relational.row import Row
+
+    schema = Schema("r", ATTRS)
+    convert = {
+        "tuple": tuple,
+        "list": list,
+        "mapping": lambda r: dict(zip(ATTRS, r)),
+        "row": lambda r: Row(schema, r),
+        "extend": tuple,
+    }[form]
+    rows = [convert(r) for r in _TYPED_ROWS]
+    if form == "extend":
+        relation = Relation(schema, rows[:1])
+        relation.extend(rows[1:])
+    else:
+        relation = Relation(schema, rows)
+    by_row = [repr(relation.row(i).values) for i in range(len(rows))]
+    assert [repr(r) for r in relation.raw_tuples()] == by_row
+    columns = [relation.column(a) for a in ATTRS]
+    assert [repr(r) for r in zip(*columns)] == by_row
+    assert [type(r[1]) for r in relation.raw_tuples()] == [int, float, bool, int, float]
+    # Rows with equal ids materialise as one shared tuple.
+    raw = relation.raw_tuples()
+    assert raw[3] is raw[0] and raw[4] is raw[1]
+    with pytest.raises(RelationError):
+        Relation(schema, [convert((1, 2))])
